@@ -63,6 +63,10 @@ class LineModel:
                 f"translation {r} is not in the structure group")
         return r
 
+    def renormalise(self, r: QAlpha) -> QAlpha:
+        """Canonical form of a key already known to lie in the group."""
+        return r
+
     def zero_coefficient(self):
         return PiecewisePoly.zero()
 
@@ -108,6 +112,10 @@ class CircleModel:
                 f"rotation {r} has a rational component; not in αℤ mod 1")
         return k
 
+    def renormalise(self, r: QAlpha) -> QAlpha:
+        """Canonical form of a key already known to lie in the subgroup."""
+        return r.mod1()
+
     def zero_coefficient(self):
         return TrigPoly()
 
@@ -123,7 +131,13 @@ class CircleModel:
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """Finitely supported element Σ_r c_r · δ_r of a convolution algebra."""
+    """Finitely supported element Σ_r c_r · δ_r of a convolution algebra.
+
+    The public constructor checks every key against the model's group
+    (`canonical_key`).  Sums, scalings, products and involutions build their
+    results with `_closed`, which only renormalises: keys formed from
+    canonical keys by group operations are group elements by closure.
+    """
 
     model: object
     support: tuple = ()  # sorted ((QAlpha key, coefficient), ...)
@@ -138,10 +152,7 @@ class AlgebraElement:
                     f"got {type(c).__name__}")
             key = self.model.canonical_key(r)
             entries[key] = entries[key] + c if key in entries else c
-        cleaned = tuple(sorted(((k, c) for k, c in entries.items()
-                                if not c.is_zero),
-                               key=lambda kc: kc[0].sort_key()))
-        object.__setattr__(self, "support", cleaned)
+        object.__setattr__(self, "support", _normal_support(entries))
 
     def keys(self):
         return tuple(k for k, _ in self.support)
@@ -164,11 +175,13 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same_model(other)
-        return AlgebraElement(self.model, self.support + other.support)
+        entries = dict(self.support)
+        for k, c in other.support:
+            entries[k] = entries[k] + c if k in entries else c
+        return _closed(self.model, entries)
 
     def scale(self, s) -> "AlgebraElement":
-        return AlgebraElement(
-            self.model, tuple((k, c.scale(s)) for k, c in self.support))
+        return _closed(self.model, {k: c.scale(s) for k, c in self.support})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + other.scale(-1.0)
@@ -182,10 +195,11 @@ class AlgebraElement:
     def distance(self, other: "AlgebraElement") -> float:
         """Max coefficient distance over the union of supports."""
         self._require_same_model(other)
-        keys = {k for k, _ in self.support} | {k for k, _ in other.support}
+        mine, theirs = dict(self.support), dict(other.support)
+        zero = self.model.zero_coefficient()
         worst = 0.0
-        for k in keys:
-            worst = max(worst, self.coeff(k).distance(other.coeff(k)))
+        for k in mine.keys() | theirs.keys():
+            worst = max(worst, mine.get(k, zero).distance(theirs.get(k, zero)))
         return worst
 
     def allclose(self, other: "AlgebraElement", tol: float) -> bool:
@@ -204,6 +218,26 @@ class AlgebraElement:
         return {"model": self.model.to_json(),
                 "support": [{"translation": str(k), "coefficient": c.to_json()}
                             for k, c in self.support]}
+
+
+def _support_order(entry):
+    return entry[0].sort_key()
+
+
+def _normal_support(entries: dict) -> tuple:
+    """Nonzero (key, coefficient) pairs in report order."""
+    return tuple(sorted(((k, c) for k, c in entries.items() if not c.is_zero),
+                        key=_support_order))
+
+
+def _closed(model, entries: dict) -> AlgebraElement:
+    """Element from {canonical key: coefficient}, with no membership check
+    and no coefficient type check: the keys come from the model's group by
+    closure and the coefficients from operations on the model's type."""
+    el = object.__new__(AlgebraElement)
+    object.__setattr__(el, "model", model)
+    object.__setattr__(el, "support", _normal_support(entries))
+    return el
 
 
 def delta(model, r: QAlpha, coeff) -> AlgebraElement:
@@ -235,22 +269,25 @@ def convolve_closed_form(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement
     """Convolution via index arithmetic: (f·g)_r = Σ_s f_{r−s}(· + s) g_s."""
     f._require_same_model(g)
     model = f.model
+    renormalise = model.renormalise
     out = {}
     for s, cs in g.support:
         for a, ca in f.support:
-            key = model.canonical_key(a + s)
+            key = renormalise(a + s)
             term = model.key_shift(ca, s) * cs
             out[key] = out[key] + term if key in out else term
-    return AlgebraElement(model, tuple(out.items()))
+    return _closed(model, out)
 
 
 def involute(f: AlgebraElement) -> AlgebraElement:
     """Adjoint for counting-measure convolution: (f*)_{−r}(x) = conj(f_r(x−r))."""
     model = f.model
-    entries = []
+    out = {}
     for r, c in f.support:
-        entries.append((-r, model.key_shift(c, -r).conjugate()))
-    return AlgebraElement(model, tuple(entries))
+        key = model.renormalise(-r)
+        term = model.key_shift(c, -r).conjugate()
+        out[key] = out[key] + term if key in out else term
+    return _closed(model, out)
 
 
 # ---------------------------------------------------------------------------

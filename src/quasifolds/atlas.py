@@ -295,7 +295,6 @@ class StructureGroupoid:
             out = []
             for chart_id, m in states:
                 chart = self.atlas.chart(chart_id)
-                pt = m.apply(v.coords)
                 for g in chart.group.enumerate(bound):
                     m2 = g.compose(m)
                     if chart.contains(m2.apply(v.coords), self.witness):

@@ -69,17 +69,18 @@ def resolve_config(args) -> dict:
             file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {args.config}: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise UsageError(
+                f"config file {args.config} must hold a JSON object")
     cfg = {}
-    casts = {"seed": int, "bound": int, "tol": float, "format": str,
-             "alpha": str, "trials": int}
     for key, default in _DEFAULTS.items():
         value = getattr(args, key, None)
         if value is None:
             env = _env_override(key)
             if env is not None:
-                value = casts[key](env)
+                value = _cast(key, env, f"{ENV_PREFIX}{key.upper()}")
         if value is None and key in file_cfg and file_cfg[key] is not None:
-            value = casts[key](file_cfg[key])
+            value = _cast(key, file_cfg[key], f"config file {args.config}")
         if value is None:
             value = default
         cfg[key] = value
@@ -90,6 +91,18 @@ def resolve_config(args) -> dict:
     if cfg["tol"] < 0:
         raise UsageError("tolerance must be nonnegative")
     return cfg
+
+
+_CASTS = {"seed": int, "bound": int, "tol": float, "format": str,
+          "alpha": str, "trials": int}
+
+
+def _cast(key: str, raw, source: str):
+    """Convert a setting read from the environment or a config file."""
+    try:
+        return _CASTS[key](raw)
+    except (TypeError, ValueError):
+        raise UsageError(f"bad {key} value {raw!r} in {source}") from None
 
 
 class UsageError(Exception):
@@ -202,15 +215,36 @@ def resolve_biatlas(spec: str):
                      f"{sorted(builtin_biatlases())}; or give a JSON file)")
 
 
-def parse_point(text: str) -> NebulaPoint:
+def parse_point(text: str, atlas) -> NebulaPoint:
+    """chart:coords, with the chart and the dimension checked against atlas."""
     if ":" not in text:
         raise UsageError(f"point must look like chart:coords, got {text!r}")
     chart, _, coords = text.partition(":")
+    charts = [c.id for c in atlas.charts]
+    if chart not in charts:
+        raise UsageError(f"unknown chart {chart!r} in point {text!r} "
+                         f"(charts: {charts})")
     try:
         vec = tuple(QAlpha.parse(c) for c in coords.split(","))
     except ValueError as exc:
         raise UsageError(f"bad point coordinates {coords!r}: {exc}")
+    if len(vec) != atlas.dimension:
+        raise UsageError(f"point {text!r} needs {atlas.dimension} "
+                         f"coordinate(s), got {len(vec)}")
     return NebulaPoint(chart, vec)
+
+
+def positive_int_list(text: str) -> list:
+    """argparse type for comma-separated positive integers such as "1,2,3"."""
+    try:
+        values = [int(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    if any(v < 1 for v in values):
+        raise argparse.ArgumentTypeError(
+            f"expected positive integers, got {text!r}")
+    return values
 
 
 def parse_vector(text: str) -> tuple:
@@ -228,7 +262,7 @@ def cmd_groupoid(args, cfg) -> dict:
     atlas = resolve_atlas(args.atlas)
     witness = make_witness(cfg)
     groupoid = StructureGroupoid(atlas, witness)
-    point = (parse_point(args.point) if args.point
+    point = (parse_point(args.point, atlas) if args.point
              else NebulaPoint(atlas.charts[0].id,
                               tuple(qa(0) for _ in range(atlas.dimension))))
     groupoid.require_point(point)
@@ -340,7 +374,7 @@ def cmd_repr(args, cfg) -> dict:
     witness = make_witness(cfg)
     rng = random.Random(cfg["seed"])
     model = alg.CircleModel("rational", witness)
-    ps = [int(p) for p in args.p.split(",")]
+    ps = args.p
     checks = [check("product-order-constant", "pass",
                     value=alg.REPRESENTATION_PRODUCT_ORDER)]
     for p in ps:
@@ -685,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repr", parents=[common],
                        help="matrix representation checks")
-    p.add_argument("--p", default="1,2,3,4,6",
+    p.add_argument("--p", default="1,2,3,4,6", type=positive_int_list,
                    help="comma-separated subgroup denominators")
     p.add_argument("--pairs", type=int, default=50)
     p.add_argument("--z-samples", type=int, default=20)

@@ -64,13 +64,13 @@ class TrigPoly:
 
     @staticmethod
     def _from_dense(off, arr) -> "TrigPoly":
-        return TrigPoly(tuple((off + i, c) for i, c in enumerate(arr) if c != 0))
+        return _trig(tuple((off + i, c) for i, c in enumerate(arr) if c != 0))
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         d = dict(self.modes)
         for k, c in other.modes:
             d[k] = d.get(k, 0j) + c
-        return TrigPoly(tuple(d.items()))
+        return _trig(tuple(sorted((k, c) for k, c in d.items() if c != 0)))
 
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
         if self.is_zero or other.is_zero:
@@ -85,7 +85,8 @@ class TrigPoly:
 
     def conjugate(self) -> "TrigPoly":
         """Pointwise complex conjugate: c_k ↦ conj(c_{−k})."""
-        return TrigPoly(tuple((-k, c.conjugate()) for k, c in self.modes))
+        return _trig(tuple((-k, c.conjugate())
+                           for k, c in reversed(self.modes)))
 
     def rotate(self, t: float) -> "TrigPoly":
         """Precompose with rotation: x ↦ x + t (c_k picks up e^{2πikt})."""
@@ -121,6 +122,14 @@ class TrigPoly:
                               for k, (re, im) in obj["modes"].items()))
 
 
+def _trig(modes: tuple) -> TrigPoly:
+    """TrigPoly from modes already in normal form (sorted int indices,
+    nonzero complex values), skipping `__post_init__`."""
+    poly = object.__new__(TrigPoly)
+    object.__setattr__(poly, "modes", modes)
+    return poly
+
+
 @dataclass(frozen=True)
 class PiecewisePoly:
     """Compactly supported piecewise polynomial with exact breakpoints.
@@ -134,7 +143,7 @@ class PiecewisePoly:
 
     def __post_init__(self):
         bps = tuple(self.breakpoints)
-        pcs = tuple(tuple(complex(c) for c in p) for p in self.pieces)
+        pcs = tuple(tuple(map(complex, p)) for p in self.pieces)
         if bps and len(pcs) != len(bps) - 1:
             raise QuasifoldError("need one piece per breakpoint gap")
         if not bps and pcs:
@@ -184,7 +193,7 @@ class PiecewisePoly:
     # -- exact translation --
     def shift_arg(self, s: QAlpha) -> "PiecewisePoly":
         """x ↦ self(x + s): breakpoints move by −s; local pieces unchanged."""
-        return PiecewisePoly(tuple(b - s for b in self.breakpoints), self.pieces)
+        return _piecewise(tuple(b - s for b in self.breakpoints), self.pieces)
 
     def scale(self, c) -> "PiecewisePoly":
         return PiecewisePoly(self.breakpoints,
@@ -197,10 +206,12 @@ class PiecewisePoly:
     # -- grid alignment --
     def _merged_breaks(self, other: "PiecewisePoly", witness: AlphaWitness):
         merged = list(self.breakpoints)
+        seen = set(merged)
         for b in other.breakpoints:
-            if b not in merged:
+            if b not in seen:
+                seen.add(b)
                 merged.append(b)
-        merged.sort(key=lambda b: witness.evaluate(b))
+        merged.sort(key=witness.evaluate)
         return merged
 
     def _on_grid(self, grid, witness: AlphaWitness):
@@ -246,7 +257,7 @@ class PiecewisePoly:
                 pieces.append(tuple(K.poly_add(list(a), list(b))))
             else:
                 pieces.append(tuple(K.poly_mul(list(a), list(b))) if a and b else ())
-        return PiecewisePoly(tuple(grid), tuple(pieces))._trimmed()
+        return _piecewise(tuple(grid), tuple(pieces))._trimmed()
 
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         return self._binary(other, "add")
@@ -265,7 +276,7 @@ class PiecewisePoly:
             breaks.pop()
         if not pieces:
             return PiecewisePoly()
-        return PiecewisePoly(tuple(breaks), tuple(pieces))
+        return _piecewise(tuple(breaks), tuple(pieces))
 
     # -- numerics --
     def eval(self, x: float, witness: Optional[AlphaWitness] = None) -> complex:
@@ -330,3 +341,12 @@ class PiecewisePoly:
         return PiecewisePoly(
             tuple(QAlpha.parse(b) for b in obj["breakpoints"]),
             tuple(tuple(complex(re, im) for re, im in p) for p in obj["pieces"]))
+
+
+def _piecewise(breakpoints: tuple, pieces: tuple) -> PiecewisePoly:
+    """PiecewisePoly from a breakpoint tuple and a matching tuple of complex
+    coefficient tuples, skipping `__post_init__`."""
+    poly = object.__new__(PiecewisePoly)
+    object.__setattr__(poly, "breakpoints", breakpoints)
+    object.__setattr__(poly, "pieces", pieces)
+    return poly

@@ -30,11 +30,6 @@ class MixedCoefficientKindError(QuasifoldError):
     """Algebra operation mixing incompatible coefficient kinds or models."""
 
 
-class UnsupportedGroupoidShapeError(QuasifoldError):
-    """The requested operation is only defined for the specialized groupoid
-    shapes this module supports."""
-
-
 class SupportEscapesSubgroupError(QuasifoldError):
     """An element's support leaves the finite subgroup required here."""
 

@@ -9,9 +9,10 @@ margin raises instead of guessing.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -42,8 +43,12 @@ _ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "3", "-3/2" → Fraction. Whitespace tolerated."""
-    return Fraction(text.strip().replace(" ", ""))
+    """Parse "3", "-3/2" → Fraction. Whitespace tolerated; malformed text
+    and a zero denominator both raise ValueError."""
+    try:
+        return Fraction(text.strip().replace(" ", ""))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def rational_str(f: Fraction) -> str:
@@ -54,12 +59,18 @@ def rational_str(f: Fraction) -> str:
 # Q + Q·α
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QAlpha:
-    """p + q·α with p, q rational; equality and hash are coefficientwise."""
+    """p + q·α with p, q rational; equality and hash are coefficientwise.
+
+    The hash is that of the pair (p, q), computed on first use and kept in
+    the `_hash` slot.
+    """
 
     p: Fraction = _ZERO
     q: Fraction = _ZERO
+    _hash: Optional[int] = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         if not isinstance(self.p, Fraction):
@@ -67,38 +78,62 @@ class QAlpha:
         if not isinstance(self.q, Fraction):
             object.__setattr__(self, "q", Fraction(self.q))
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not QAlpha:
+            return NotImplemented
+        # Fractions are kept in lowest terms: compare numerator and denominator
+        a, b = self.p, other.p
+        if a.numerator != b.numerator or a.denominator != b.denominator:
+            return False
+        a, b = self.q, other.q
+        return a.numerator == b.numerator and a.denominator == b.denominator
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((_frac_hash(self.p), _frac_hash(self.q)))
+            _set_hash(self, h)
+        return h
+
     # -- ring operations (never multiplies two α-terms) --
     def __add__(self, other: "QAlpha") -> "QAlpha":
-        other = _as_qalpha(other)
-        return QAlpha(self.p + other.p, self.q + other.q)
+        if other.__class__ is not QAlpha:
+            other = _as_qalpha(other)
+        return _qalpha(_fadd(self.p, other.p), _fadd(self.q, other.q))
 
     __radd__ = __add__
 
     def __sub__(self, other: "QAlpha") -> "QAlpha":
-        other = _as_qalpha(other)
-        return QAlpha(self.p - other.p, self.q - other.q)
+        if other.__class__ is not QAlpha:
+            other = _as_qalpha(other)
+        return _qalpha(_fsub(self.p, other.p), _fsub(self.q, other.q))
 
     def __rsub__(self, other) -> "QAlpha":
         return _as_qalpha(other) - self
 
     def __neg__(self) -> "QAlpha":
-        return QAlpha(-self.p, -self.q)
+        return _qalpha(-self.p, -self.q)
 
     def __mul__(self, r) -> "QAlpha":
         if isinstance(r, QAlpha):
             if r.q == 0:
                 r = r.p
             elif self.q == 0:
-                return QAlpha(self.p * r.p, self.p * r.q)
+                return _qalpha(self.p * r.p, self.p * r.q)
             else:
                 return NotImplemented  # α² never formed
+        if r.__class__ is Fraction or r.__class__ is int:
+            return _qalpha(self.p * r, self.q * r)
         return QAlpha(self.p * r, self.q * r)
 
     __rmul__ = __mul__
 
     def scale(self, r) -> "QAlpha":
-        r = Fraction(r)
-        return QAlpha(self.p * r, self.q * r)
+        if r.__class__ is not Fraction:
+            r = Fraction(r)
+        return _qalpha(_fmul(self.p, r), _fmul(self.q, r))
 
     # -- predicates --
     @property
@@ -107,7 +142,7 @@ class QAlpha:
 
     @property
     def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
+        return not self.p and not self.q
 
     def mod1(self) -> "QAlpha":
         """Canonical representative of p + qα modulo Z: reduce p to [0, 1).
@@ -115,7 +150,10 @@ class QAlpha:
         Unique because α is irrational: p + qα ≡ p' + q'α (mod Z) iff q = q'
         and p − p' ∈ Z.
         """
-        return QAlpha(self.p - math.floor(self.p), self.q)
+        p = self.p
+        if 0 <= p.numerator < p.denominator:
+            return self
+        return _qalpha(p - math.floor(p), self.q)
 
     # -- serialization: "p" or "p+α*q" --
     def __str__(self) -> str:
@@ -150,6 +188,52 @@ class QAlpha:
     def sort_key(self):
         """Deterministic order for reports; not the numeric order."""
         return (self.p, self.q)
+
+
+_set_p = QAlpha.p.__set__
+_set_q = QAlpha.q.__set__
+_set_hash = QAlpha._hash.__set__
+_new = object.__new__
+
+
+def _qalpha(p: Fraction, q: Fraction) -> QAlpha:
+    """QAlpha from two Fractions, skipping the coercion in `__post_init__`."""
+    x = _new(QAlpha)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_hash(x, None)
+    return x
+
+
+# Integer fast paths for the Fraction operations above: hash(Fraction(n)) is
+# hash(n), and integer sums need no gcd.  Results equal the Fraction ones.
+
+def _frac_hash(f: Fraction) -> int:
+    return hash(f.numerator) if f.denominator == 1 else hash(f)
+
+
+def _fadd(x: Fraction, y: Fraction) -> Fraction:
+    if not y:
+        return x
+    if x.denominator == 1 and y.denominator == 1:
+        return Fraction(x.numerator + y.numerator)
+    return x + y
+
+
+def _fsub(x: Fraction, y: Fraction) -> Fraction:
+    if not y:
+        return x
+    if x.denominator == 1 and y.denominator == 1:
+        return Fraction(x.numerator - y.numerator)
+    return x - y
+
+
+def _fmul(x: Fraction, r: Fraction) -> Fraction:
+    if not x or r == 1:
+        return x
+    if x.denominator == 1 and r.denominator == 1:
+        return Fraction(x.numerator * r.numerator)
+    return x * r
 
 
 def _as_qalpha(x) -> QAlpha:
@@ -209,10 +293,10 @@ class AlphaWitness:
         return AlphaWitness(-self.value, self.digits, self.margin)
 
     def evaluate(self, x: QAlpha) -> Decimal:
-        with localcontext() as ctx:
-            ctx.prec = self.digits + 10
-            return (Decimal(x.p.numerator) / Decimal(x.p.denominator)
-                    + (Decimal(x.q.numerator) / Decimal(x.q.denominator)) * self.value)
+        """p + q·α̂ rounded at digits + 10 significant digits."""
+        ctx = _decimal_context(self.digits + 10)
+        return ctx.add(_to_decimal(x.p, ctx),
+                       ctx.multiply(_to_decimal(x.q, ctx), self.value))
 
     def to_float(self, x: QAlpha) -> float:
         return float(self.evaluate(x))
@@ -228,6 +312,19 @@ class AlphaWitness:
             raise PrecisionInsufficientError(
                 f"|{d}| < margin {self.margin} at {self.digits} digits")
         return 1 if v > 0 else -1
+
+
+@functools.lru_cache(maxsize=16)
+def _decimal_context(prec: int) -> Context:
+    return Context(prec=prec)
+
+
+def _to_decimal(f: Fraction, ctx: Context) -> Decimal:
+    """f rounded to the precision of ctx; the same value as
+    Decimal(numerator) / Decimal(denominator) computed in ctx."""
+    if f.denominator == 1:
+        return ctx.create_decimal(f.numerator)
+    return ctx.divide(Decimal(f.numerator), Decimal(f.denominator))
 
 
 _DEFAULT_WITNESS: Optional[AlphaWitness] = None
@@ -324,11 +421,16 @@ def mat_inv(a: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in m)
 
 
+def _fraction(x) -> Fraction:
+    return x if x.__class__ is Fraction else Fraction(x)
+
+
 def solve_linear(a: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Solve a·x = rhs exactly. Returns ("unique", x), ("none", None) or
     ("many", particular_solution)."""
     rows, cols = len(a), len(a[0]) if a else 0
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(a)]
+    m = [[_fraction(x) for x in row] + [_fraction(rhs[i])]
+         for i, row in enumerate(a)]
     pivots = []
     r = 0
     for c in range(cols):
@@ -361,7 +463,12 @@ def solve_linear(a: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
 
 @dataclass(frozen=True)
 class AffineElement:
-    """Affine map on R^n: rational invertible linear part, Q+Qα translation."""
+    """Affine map on R^n: rational invertible linear part, Q+Qα translation.
+
+    The public constructor validates shape and invertibility.  `compose` and
+    `invert` build their results with `_affine`, which skips both checks: a
+    product or inverse of valid elements is valid.
+    """
 
     a: Matrix
     b: tuple
@@ -397,22 +504,41 @@ class AffineElement:
     # -- group operations --
     def compose(self, other: "AffineElement") -> "AffineElement":
         """self ∘ other (apply `other` first): (A, b)∘(A', b') = (AA', Ab'+b)."""
-        if self.n != other.n:
+        n = len(self.b)
+        if n != len(other.b):
             raise DimensionMismatchError("composing maps of different dimension")
+        if n == 1:
+            s, t = self.a[0][0], other.a[0][0]
+            if s == 1:
+                return _affine(other.a, (other.b[0] + self.b[0],))
+            a = self.a if t == 1 else ((s * t,),)
+            return _affine(a, (other.b[0].scale(s) + self.b[0],))
         a = mat_mul(self.a, other.a)
-        b = tuple(self._apply_linear(other.b, i) + self.b[i] for i in range(self.n))
-        return AffineElement(a, b)
+        b = tuple(self._apply_linear(other.b, i) + self.b[i] for i in range(n))
+        return _affine(a, b)
 
     def invert(self) -> "AffineElement":
+        if len(self.b) == 1:
+            s = self.a[0][0]
+            if s == 1:
+                return _affine(self.a, (-self.b[0],))
+            inv = 1 / s
+            return _affine(((inv,),), (-self.b[0].scale(inv),))
         inv = mat_inv(self.a)
         neg = tuple(-x for x in self.b)
         b = tuple(
             sum((neg[j].scale(inv[i][j]) for j in range(self.n)), QAlpha())
             for i in range(self.n)
         )
-        return AffineElement(inv, b)
+        return _affine(inv, b)
 
     def apply(self, x: Sequence) -> tuple:
+        if len(self.b) == 1 and len(x) == 1:
+            v = x[0]
+            if v.__class__ is not QAlpha:
+                v = _as_qalpha(v)
+            s = self.a[0][0]
+            return ((v if s == 1 else v.scale(s)) + self.b[0],)
         x = tuple(_as_qalpha(v) for v in x)
         if len(x) != self.n:
             raise DimensionMismatchError("point dimension mismatch")
@@ -423,11 +549,14 @@ class AffineElement:
 
     @property
     def is_identity(self) -> bool:
-        return self.a == mat_identity(self.n) and all(x.is_zero for x in self.b)
+        return self.is_translation and all(x.is_zero for x in self.b)
 
     @property
     def is_translation(self) -> bool:
-        return self.a == mat_identity(self.n)
+        a = self.a
+        if len(a) == 1:
+            return a[0][0] == 1
+        return a == mat_identity(len(a))
 
     # -- serialization --
     def to_json(self) -> dict:
@@ -449,6 +578,15 @@ class AffineElement:
         return f"aff[{rows} | " + ", ".join(str(x) for x in self.b) + "]"
 
     __repr__ = __str__
+
+
+def _affine(a: Matrix, b: tuple) -> AffineElement:
+    """AffineElement from an already frozen invertible matrix and a tuple of
+    QAlpha, without the checks of the public constructor."""
+    el = _new(AffineElement)
+    object.__setattr__(el, "a", a)
+    object.__setattr__(el, "b", b)
+    return el
 
 
 def vec_eq(x: Sequence[QAlpha], y: Sequence[QAlpha]) -> bool:

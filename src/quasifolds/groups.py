@@ -14,6 +14,7 @@ inconclusive-at-bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +36,32 @@ __all__ = [
 ]
 
 SIZE_CAP = 2_000_000  # refuse enumerations estimated beyond this many elements
+MEMO_CAP = 4_096  # enumerated elements a group instance keeps for reuse
+
+
+def _memoised(enumerate_fn):
+    """Keep `enumerate(bound)` results on the group instance.
+
+    A presentation is immutable, so its enumeration at a given bound never
+    changes.  Results are stored per bound while the instance holds at most
+    MEMO_CAP elements in total; a result that would pass the cap is returned
+    but not stored, so it is recomputed on every call.  A call that raises
+    (negative or over-cap bound) stores nothing and raises again next time.
+    The memo lives and dies with the instance.
+    """
+    @functools.wraps(enumerate_fn)
+    def enumerate(self, bound: int) -> tuple:
+        memo = self.__dict__.get("_enumerated")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_enumerated", memo)
+        hit = memo.get(bound)
+        if hit is None:
+            hit = enumerate_fn(self, bound)
+            if sum(map(len, memo.values())) + len(hit) <= MEMO_CAP:
+                memo[bound] = hit
+        return hit
+    return enumerate
 
 
 class GroupPresentation:
@@ -139,6 +166,7 @@ class TranslationLattice(GroupPresentation):
                     out[j] = out[j] + g[j].scale(c)
         return tuple(out)
 
+    @_memoised
     def enumerate(self, bound: int) -> tuple:
         k = len(self.generators)
         self._check_bound(bound, (2 * bound + 1) ** k)
@@ -260,6 +288,7 @@ class RationalTranslations(GroupPresentation):
             vals.extend(sorted(shell, key=lambda f: (f.denominator, f)))
         return vals
 
+    @_memoised
     def enumerate(self, bound: int) -> tuple:
         line = self._line_values(bound)
         self._check_bound(bound, len(line) ** self.dimension)
@@ -358,6 +387,7 @@ class GeneratedGroup(GroupPresentation):
                 letters.append(gi)
         return letters
 
+    @_memoised
     def enumerate(self, bound: int) -> tuple:
         self._check_bound(bound, (2 * len(self.generators)) ** max(bound, 1))
         letters = self._letters()

@@ -79,6 +79,36 @@ class TestExitCodes:
         assert run(capsys, "--help")[0] == 0
 
 
+class TestBadInputIsRejectedAtParseTime:
+    """Each bad input exits 2 with a single error line and no traceback."""
+
+    def assert_usage_error(self, code, out, err):
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
+
+    def test_unknown_chart_in_point(self, capsys):
+        self.assert_usage_error(*run(capsys, "groupoid", "--atlas", "t-alpha",
+                                     "--point", "foo:0"))
+
+    def test_zero_denominator_in_point(self, capsys):
+        self.assert_usage_error(*run(capsys, "groupoid", "--atlas", "t-alpha",
+                                     "--point", "main:1/0"))
+
+    def test_non_integer_repr_denominators(self, capsys):
+        self.assert_usage_error(*run(capsys, "repr", "--p", "a"))
+
+    def test_non_integer_bound_in_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("QUASIFOLD_BOUND", "abc")
+        self.assert_usage_error(*run(capsys, "rotation"))
+
+    def test_non_integer_trials_in_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": "x"}), encoding="utf-8")
+        self.assert_usage_error(*run(capsys, "rotation", "--config", str(cfg)))
+
+
 class TestReportShape:
     def test_schema_and_summary(self, capsys):
         code, report, _ = run_json(capsys, "rotation")

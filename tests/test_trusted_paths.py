@@ -1,0 +1,256 @@
+"""The exact core checks each fact once, at the public constructors, and
+trusts group closure afterwards.  Property tests pit every trusted fast path
+against the checked path it replaces; regression guards pin down that the
+checks stay where they belong."""
+
+import random
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import quasifolds.exact as exact
+import quasifolds.groups as groups
+from quasifolds.algebra import (AlgebraElement, CircleModel, LineModel,
+                                convolve_closed_form, convolve_general,
+                                involute, random_circle_element,
+                                random_line_element)
+from quasifolds.catalog import two_scale_lattice, z_alpha_lattice
+from quasifolds.coefficients import PiecewisePoly
+from quasifolds.errors import EnumerationCapError, SupportEscapesSubgroupError
+from quasifolds.exact import (AffineElement, AlphaWitness, QAlpha,
+                              default_witness, mat_mul, qa)
+from quasifolds.groups import (GeneratedGroup, RationalTranslations,
+                               TranslationLattice)
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+nonzero = fractions.filter(lambda f: f != 0)
+qalphas = st.builds(QAlpha, fractions, fractions)
+
+
+@st.composite
+def affine_elements(draw, n):
+    """Valid maps through the public constructor; in 1-D half of them are
+    translations, which take their own fast path."""
+    b = tuple(draw(qalphas) for _ in range(n))
+    if n == 1:
+        s = Fraction(1) if draw(st.booleans()) else draw(nonzero)
+        return AffineElement(((s,),), b)
+    # [[d1, 0], [c1, d2]]·[[1, c2], [0, 1]] is invertible for d1, d2 ≠ 0
+    d1, d2 = draw(nonzero), draw(nonzero)
+    c1, c2 = draw(fractions), draw(fractions)
+    return AffineElement(((d1, d1 * c2), (c1, c1 * c2 + d2)), b)
+
+
+pairs = st.integers(1, 2).flatmap(
+    lambda n: st.tuples(affine_elements(n), affine_elements(n)))
+
+
+def _checked(r: AffineElement) -> AffineElement:
+    return AffineElement(r.a, r.b)
+
+
+# ---------------------------------------------------------------------------
+# affine maps: trusted compose / invert / apply against the checked path
+# ---------------------------------------------------------------------------
+
+class TestAffineFastPaths:
+    @PROPERTY
+    @given(pairs)
+    def test_compose_equals_checked_rebuild(self, xy):
+        x, y = xy
+        r = x.compose(y)
+        assert r == _checked(r) and hash(r) == hash(_checked(r))
+        assert r.a == mat_mul(x.a, y.a)
+        assert r.b == x.apply(y.b)
+
+    @PROPERTY
+    @given(pairs)
+    def test_invert_equals_checked_rebuild(self, xy):
+        x, _ = xy
+        r = x.invert()
+        assert r == _checked(r) and hash(r) == hash(_checked(r))
+        assert r.a == exact.mat_inv(x.a)
+        assert x.compose(r).is_identity and r.compose(x).is_identity
+
+    @PROPERTY
+    @given(pairs, st.data())
+    def test_apply_matches_linear_formula(self, xy, data):
+        x, _ = xy
+        v = tuple(data.draw(qalphas) for _ in range(x.n))
+        want = tuple(
+            sum((v[j].scale(x.a[i][j]) for j in range(x.n)), QAlpha())
+            + x.b[i] for i in range(x.n))
+        assert x.apply(v) == want
+
+
+# ---------------------------------------------------------------------------
+# QAlpha: slot-cached hash, trusted arithmetic, Decimal evaluation
+# ---------------------------------------------------------------------------
+
+class TestQAlphaFastPaths:
+    @PROPERTY
+    @given(fractions, fractions)
+    def test_hash_and_equality_agree_across_inputs(self, p, q):
+        forms = [QAlpha(p, q), qa(p, q), QAlpha.parse(str(QAlpha(p, q)))]
+        if p.denominator == 1 and q.denominator == 1:
+            forms.append(QAlpha(int(p), int(q)))
+        for x in forms:
+            assert x == forms[0]
+            assert hash(x) == hash(forms[0]) == hash((p, q))
+            assert hash(x) == hash(x)  # served from the slot the second time
+
+    @PROPERTY
+    @given(qalphas, qalphas, fractions)
+    def test_arithmetic_equals_public_construction(self, x, y, r):
+        floor = x.p.numerator // x.p.denominator
+        for got, want in ((x + y, QAlpha(x.p + y.p, x.q + y.q)),
+                          (x - y, QAlpha(x.p - y.p, x.q - y.q)),
+                          (-x, QAlpha(-x.p, -x.q)),
+                          (x.scale(r), QAlpha(x.p * r, x.q * r)),
+                          (x * r, QAlpha(x.p * r, x.q * r)),
+                          (x.mod1(), QAlpha(x.p - floor, x.q))):
+            assert got == want and hash(got) == hash(want)
+            assert type(got.p) is Fraction and type(got.q) is Fraction
+
+    @PROPERTY
+    @given(qalphas, st.sampled_from(["golden", "silver", "negated"]))
+    def test_evaluate_matches_local_context_division(self, x, which):
+        silver = AlphaWitness.from_decimal_string("0.41421356237309504880")
+        w = {"golden": default_witness(), "silver": silver,
+             "negated": default_witness().negated()}[which]
+        with localcontext() as ctx:
+            ctx.prec = w.digits + 10
+            want = (Decimal(x.p.numerator) / Decimal(x.p.denominator)
+                    + (Decimal(x.q.numerator) / Decimal(x.q.denominator))
+                    * w.value)
+        got = w.evaluate(x)
+        assert got == want and str(got) == str(want)
+
+    def test_slots_leave_no_instance_dict(self):
+        assert not hasattr(qa(1, 2), "__dict__")
+
+
+# ---------------------------------------------------------------------------
+# groups: memoised enumeration
+# ---------------------------------------------------------------------------
+
+generators = st.lists(st.tuples(qalphas), min_size=1, max_size=3)
+
+
+class TestEnumerationMemo:
+    @PROPERTY
+    @given(generators, st.integers(0, 2))
+    def test_lattice_memo_equals_fresh_group(self, gens, bound):
+        g = TranslationLattice(tuple(gens))
+        first = g.enumerate(bound)
+        assert g.enumerate(bound) is first
+        assert first == TranslationLattice(tuple(gens)).enumerate(bound)
+
+    @PROPERTY
+    @given(st.lists(affine_elements(1), min_size=1, max_size=2),
+           st.integers(0, 2))
+    def test_generated_memo_equals_fresh_group(self, gens, bound):
+        g = GeneratedGroup(tuple(gens))
+        first = g.enumerate(bound)
+        assert g.enumerate(bound) is first
+        assert first == GeneratedGroup(tuple(gens)).enumerate(bound)
+
+    def test_rational_memo_equals_fresh_group(self):
+        g = RationalTranslations(1)
+        assert g.enumerate(3) is g.enumerate(3)
+        assert g.enumerate(3) == RationalTranslations(1).enumerate(3)
+
+    def test_same_bound_returns_the_same_tuple(self):
+        g = z_alpha_lattice()
+        assert g.enumerate(3) is g.enumerate(3)
+
+    def test_over_cap_bound_raises_every_time(self):
+        g = z_alpha_lattice()
+        for _ in range(2):
+            with pytest.raises(EnumerationCapError):
+                g.enumerate(g.hard_cap + 1)
+            with pytest.raises(ValueError):
+                g.enumerate(-1)
+
+    def test_results_beyond_the_memo_cap_are_not_kept(self, monkeypatch):
+        monkeypatch.setattr(groups, "MEMO_CAP", 9)
+        g = z_alpha_lattice()
+        assert g.enumerate(0) is g.enumerate(0)  # 1 element: kept
+        first = g.enumerate(1)  # 1 + 9 elements would exceed the cap of 9
+        assert g.enumerate(1) is not first
+        assert g.enumerate(1) == first == z_alpha_lattice().enumerate(1)
+
+
+# ---------------------------------------------------------------------------
+# algebra: closure-built keys against the checked public constructor
+# ---------------------------------------------------------------------------
+
+MODELS = {
+    "z-alpha": LineModel(z_alpha_lattice()),
+    "two-scale": LineModel(two_scale_lattice()),
+    "circle-full": CircleModel("full"),
+    "circle-rational": CircleModel("rational"),
+    "circle-alpha": CircleModel("alpha"),
+}
+
+
+def _element(model, rng):
+    if isinstance(model, LineModel):
+        return random_line_element(rng, model, n_keys=4, degree=2)
+    return random_circle_element(rng, model, n_keys=4, n_modes=2)
+
+
+def _rebuilt(e: AlgebraElement) -> AlgebraElement:
+    return AlgebraElement(e.model, e.support)
+
+
+class TestClosureBuiltElements:
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from(sorted(MODELS)), st.integers(0, 2 ** 32))
+    def test_closure_results_equal_checked_rebuild(self, name, seed):
+        model = MODELS[name]
+        rng = random.Random(seed)
+        f, g = _element(model, rng), _element(model, rng)
+        product = convolve_closed_form(f, g)
+        built = [product, involute(f), f + g, f.scale(2 - 1j), f - f]
+        for e in built:
+            assert e == _rebuilt(e)
+        assert product.keys() == convolve_general(f, g).keys()
+
+
+# ---------------------------------------------------------------------------
+# regression guards (timing-free)
+# ---------------------------------------------------------------------------
+
+def test_closed_form_product_makes_no_lattice_solves(monkeypatch):
+    calls = []
+    original = exact.solve_linear
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(groups, "solve_linear", counting)
+    monkeypatch.setattr(exact, "solve_linear", counting)
+    model = LineModel(z_alpha_lattice())
+    coeff = PiecewisePoly((qa(0), qa(1), qa(2)), ((1.0, 0.5), (0.25j,)))
+    keys = [qa(0), qa(1), qa(0, 1), qa(-2, 1), qa(1, -2)]
+    f = AlgebraElement(model, tuple((k, coeff) for k in keys))
+    g = AlgebraElement(model, tuple((k + qa(1, 1), coeff) for k in keys))
+    assert len(f.support) == len(g.support) == 5
+    assert calls, "the public constructor must still check membership"
+    calls.clear()
+    convolve_closed_form(f, g)
+    assert not calls
+
+
+def test_off_lattice_key_still_raises_at_public_constructor():
+    model = LineModel(z_alpha_lattice())
+    coeff = random_line_element(random.Random(0), model).support[0][1]
+    with pytest.raises(SupportEscapesSubgroupError):
+        AlgebraElement(model, ((qa(0, Fraction(1, 2)), coeff),))
