@@ -1,29 +1,7 @@
-"""Kernel backend selection.
+"""Dense complex coefficient kernels (pure Python, implemented in _ref)."""
 
-The compiled extension is preferred when present; set QUASIFOLDS_KERNELS to
-"python" or "cython" to force a backend ("cython" raises if unavailable).
-"""
+from ._ref import (BACKEND, poly_add, poly_eval, poly_mul, poly_scale,
+                   poly_shift, trig_eval, trig_mul, trig_rotate)
 
-import os
-
-_choice = os.environ.get("QUASIFOLDS_KERNELS", "auto").lower()
-
-if _choice == "python":
-    from . import _ref as _impl
-elif _choice == "cython":
-    from . import _fast as _impl  # type: ignore[no-redef]
-else:
-    try:
-        from . import _fast as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _ref as _impl
-
-BACKEND = _impl.BACKEND
-poly_mul = _impl.poly_mul
-poly_add = _impl.poly_add
-poly_scale = _impl.poly_scale
-poly_eval = _impl.poly_eval
-poly_shift = _impl.poly_shift
-trig_mul = _impl.trig_mul
-trig_rotate = _impl.trig_rotate
-trig_eval = _impl.trig_eval
+__all__ = ["BACKEND", "poly_mul", "poly_add", "poly_scale", "poly_eval",
+           "poly_shift", "trig_mul", "trig_rotate", "trig_eval"]

@@ -1,8 +1,8 @@
-"""Pure-Python reference kernels for dense complex coefficient arithmetic.
+"""Pure-Python kernels for dense complex coefficient arithmetic.
 
 Polynomials are lists of complex coefficients, ascending degree.  Trig
 polynomials are (offset, coeffs): coeffs[i] is the mode-(offset+i) Fourier
-coefficient.  The compiled twin in _fast.pyx implements the same signatures.
+coefficient.
 """
 
 import cmath

@@ -29,26 +29,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LinkingGerm:
+class LinkingGerm(Arrow):
     """Germ of an invertible affine map from the left nebula into a right chart."""
-
-    src: NebulaPoint
-    map: AffineElement
-    dst_chart: str
-
-    @property
-    def trg(self) -> NebulaPoint:
-        return NebulaPoint(self.dst_chart, self.map.apply(self.src.coords))
-
-    def to_json(self):
-        return {"src": self.src.to_json(), "map": self.map.to_json(),
-                "dst_chart": self.dst_chart}
-
-    @staticmethod
-    def from_json(obj) -> "LinkingGerm":
-        return LinkingGerm(NebulaPoint.from_json(obj["src"]),
-                           AffineElement.from_json(obj["map"]),
-                           obj["dst_chart"])
 
     def __str__(self):
         return f"{self.src} ={self.map}=> {self.dst_chart}"

@@ -281,14 +281,6 @@ class AlphaWitness:
             digits = max(len(value.as_tuple().digits), 15)
         return AlphaWitness(value, digits, Decimal(10) ** -(digits - margin_digits))
 
-    @staticmethod
-    def from_fraction(f, digits: int = 50, margin_digits: int = 10) -> "AlphaWitness":
-        f = Fraction(f)
-        with localcontext() as ctx:
-            ctx.prec = digits + 10
-            value = Decimal(f.numerator) / Decimal(f.denominator)
-        return AlphaWitness(value, digits, Decimal(10) ** -(digits - margin_digits))
-
     def negated(self) -> "AlphaWitness":
         return AlphaWitness(-self.value, self.digits, self.margin)
 

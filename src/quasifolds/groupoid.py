@@ -73,10 +73,10 @@ class Arrow:
         return {"src": self.src.to_json(), "map": self.map.to_json(),
                 "dst_chart": self.dst_chart}
 
-    @staticmethod
-    def from_json(obj):
-        return Arrow(NebulaPoint.from_json(obj["src"]),
-                     AffineElement.from_json(obj["map"]), obj["dst_chart"])
+    @classmethod
+    def from_json(cls, obj):
+        return cls(NebulaPoint.from_json(obj["src"]),
+                   AffineElement.from_json(obj["map"]), obj["dst_chart"])
 
 
 def arrow_compose(a: Arrow, b: Arrow) -> Arrow:
