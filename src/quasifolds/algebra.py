@@ -20,15 +20,13 @@ the map reverses products: M(f·g) = M(g)·M(f).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .coefficients import PiecewisePoly, TrigPoly
 from .errors import (MixedCoefficientKindError, QuasifoldError,
                      SupportEscapesSubgroupError)
-from .exact import (AffineElement, AlphaWitness, QAlpha, Trit,
-                    default_witness, qa)
+from .exact import AffineElement, QAlpha, Trit, default_witness, qa
 from .groups import TranslationLattice
 
 __all__ = [
@@ -52,7 +50,6 @@ class LineModel:
     """
 
     group: TranslationLattice
-    witness: AlphaWitness = field(default_factory=default_witness)
 
     kind = "line"
     coefficient_type = PiecewisePoly
@@ -76,10 +73,6 @@ class LineModel:
     def compatible(self, other) -> bool:
         return isinstance(other, LineModel) and other.group == self.group
 
-    def to_json(self):
-        from .serialize import group_to_json
-        return {"kind": "line", "group": group_to_json(self.group)}
-
 
 _CIRCLE_KINDS = ("rational", "alpha", "full")
 
@@ -93,7 +86,6 @@ class CircleModel:
     """
 
     subgroup: str = "full"
-    witness: AlphaWitness = field(default_factory=default_witness)
 
     kind = "circle"
     coefficient_type = TrigPoly
@@ -120,13 +112,10 @@ class CircleModel:
         return TrigPoly()
 
     def key_shift(self, coeff: TrigPoly, s: QAlpha) -> TrigPoly:
-        return coeff.rotate(self.witness.to_float(s))
+        return coeff.rotate(default_witness().to_float(s))
 
     def compatible(self, other) -> bool:
         return isinstance(other, CircleModel) and other.subgroup == self.subgroup
-
-    def to_json(self):
-        return {"kind": "circle", "subgroup": self.subgroup}
 
 
 @dataclass(frozen=True)
@@ -214,11 +203,6 @@ class AlgebraElement:
                 total += max((abs(x) for p in c.pieces for x in p), default=0.0)
         return total
 
-    def to_json(self):
-        return {"model": self.model.to_json(),
-                "support": [{"translation": str(k), "coefficient": c.to_json()}
-                            for k, c in self.support]}
-
 
 def _support_order(entry):
     return entry[0].sort_key()
@@ -294,16 +278,15 @@ def involute(f: AlgebraElement) -> AlgebraElement:
 # rotation relation on the circle over αℤ
 # ---------------------------------------------------------------------------
 
-def rotation_relation(witness: Optional[AlphaWitness] = None,
-                      max_power: int = 3) -> dict:
+def rotation_relation(max_power: int = 3) -> dict:
     """Check V·U = λ·U·V for U = e^{2πiz}δ_0, V = δ_α on the circle.
 
-    Returns the empirical λ, its distance to e^{−2πiα}, and the worst
-    deviation of the power relations V^n·U^m = λ^{mn}·U^m·V^n for
-    1 ≤ m, n ≤ max_power.
+    Returns the empirical λ, its distance to e^{−2πiα} (α from the default
+    witness), and the worst deviation of the power relations
+    V^n·U^m = λ^{mn}·U^m·V^n for 1 ≤ m, n ≤ max_power.
     """
-    w = witness or default_witness()
-    model = CircleModel("alpha", w)
+    w = default_witness()
+    model = CircleModel("alpha")
     U = delta(model, qa(0, 0), TrigPoly.mode(1))
     V = delta(model, qa(0, 1), TrigPoly.one())
 

@@ -21,8 +21,7 @@ from typing import Optional, Sequence
 
 from .errors import (InconsistentTransitionError, PrecisionInsufficientError,
                      QuasifoldError)
-from .exact import (AffineElement, AlphaWitness, QAlpha, Trit, default_witness,
-                    vec_eq)
+from .exact import AffineElement, QAlpha, Trit, default_witness, vec_eq
 from .groupoid import Arrow, NebulaPoint, arrow_invert
 from .groups import (FiniteMatrixGroup, GroupPresentation,
                      RationalTranslations, TranslationLattice)
@@ -33,6 +32,9 @@ __all__ = [
     "CircleArrow", "circle_arrow_compose", "circle_arrow_invert",
     "phi_object", "phi_arrow",
 ]
+
+ROUTE_CAP = 8  # transition layers searched for reachable cosets and routes
+TRANSITION_CHECK_BOUND = 1  # enumeration bound of build_groupoid's spot check
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +48,11 @@ class Interval:
     lo: Optional[QAlpha] = None
     hi: Optional[QAlpha] = None
 
-    def contains(self, x: QAlpha, witness: AlphaWitness) -> bool:
-        if self.lo is not None and witness.compare(x, self.lo) <= 0:
+    def contains(self, x: QAlpha) -> bool:
+        w = default_witness()
+        if self.lo is not None and w.compare(x, self.lo) <= 0:
             return False
-        if self.hi is not None and witness.compare(self.hi, x) <= 0:
+        if self.hi is not None and w.compare(self.hi, x) <= 0:
             return False
         return True
 
@@ -86,10 +89,10 @@ class Chart:
     def dimension(self) -> int:
         return self.group.dimension
 
-    def contains(self, coords: Sequence[QAlpha], witness: AlphaWitness) -> bool:
+    def contains(self, coords: Sequence[QAlpha]) -> bool:
         if self.domain is None:
             return True
-        return all(iv.contains(c, witness) for iv, c in zip(self.domain, coords))
+        return all(iv.contains(c) for iv, c in zip(self.domain, coords))
 
 
 @dataclass(frozen=True)
@@ -255,13 +258,11 @@ class AssemblyReport:
 
 class StructureGroupoid:
     """Arrow calculus over an atlas: bounded word generation, fibers,
-    three-valued point equality, assembly reports."""
+    three-valued point equality, assembly reports.  Chart-domain tests order
+    points under the default witness current at each call."""
 
-    def __init__(self, atlas: Atlas, witness: Optional[AlphaWitness] = None,
-                 route_cap: int = 8):
+    def __init__(self, atlas: Atlas):
         self.atlas = atlas
-        self.witness = witness or default_witness()
-        self.route_cap = route_cap
         self._letters = self._transition_letters()
 
     # -- structural helpers --
@@ -279,7 +280,7 @@ class StructureGroupoid:
 
     def valid_point(self, point: NebulaPoint) -> bool:
         chart = self.atlas.chart(point.chart)
-        return chart.contains(point.coords, self.witness)
+        return chart.contains(point.coords)
 
     def require_point(self, point: NebulaPoint) -> NebulaPoint:
         if not self.valid_point(point):
@@ -297,7 +298,7 @@ class StructureGroupoid:
                 chart = self.atlas.chart(chart_id)
                 for g in chart.group.enumerate(bound):
                     m2 = g.compose(m)
-                    if chart.contains(m2.apply(v.coords), self.witness):
+                    if chart.contains(m2.apply(v.coords)):
                         out.append((chart_id, m2))
             return out
 
@@ -323,7 +324,7 @@ class StructureGroupoid:
                     if tmap.is_identity and dst == chart_id:
                         continue
                     img = tmap.apply(pt)
-                    if not self.atlas.chart(dst).contains(img, self.witness):
+                    if not self.atlas.chart(dst).contains(img):
                         continue
                     next_states.append((dst, tmap.compose(m)))
             frontier = add_all(group_layer(next_states))
@@ -370,7 +371,7 @@ class StructureGroupoid:
             return any(c.same_as(existing) for existing in cosets)
 
         frontier = list(cosets)
-        for _ in range(self.route_cap):
+        for _ in range(ROUTE_CAP):
             new = []
             for c in frontier:
                 for dst, tmap in self._letters.get(c.chart, ()):
@@ -421,7 +422,7 @@ class StructureGroupoid:
         out = [(src_chart, AffineElement.identity(self.atlas.dimension))]
         seen = {(src_chart, out[0][1])}
         frontier = list(out)
-        for _ in range(self.route_cap):
+        for _ in range(ROUTE_CAP):
             new = []
             for chart_id, m in frontier:
                 for dst, tmap in self._letters.get(chart_id, ()):
@@ -448,13 +449,13 @@ class StructureGroupoid:
                 if dst != cid:
                     continue
                 pt = m.apply(v.coords)
-                if chart.contains(pt, self.witness) and pt not in bases:
+                if chart.contains(pt) and pt not in bases:
                     bases.append(pt)
             objects = []
             for base in bases:
                 for g in chart.group.enumerate(bound):
                     pt = g.apply(base)
-                    if chart.contains(pt, self.witness) and pt not in objects:
+                    if chart.contains(pt) and pt not in objects:
                         objects.append(pt)
             objects.sort(key=lambda o: tuple(c.sort_key() for c in o))
             if not objects:
@@ -462,7 +463,7 @@ class StructureGroupoid:
             arrows = []
             for o in objects:
                 for g in chart.group.enumerate(bound):
-                    if chart.contains(g.apply(o), self.witness):
+                    if chart.contains(g.apply(o)):
                         arrows.append(Arrow(NebulaPoint(cid, o), g, cid))
             objects_by_chart[cid] = objects
             blocks.append((cid, tuple(objects), tuple(arrows)))
@@ -477,7 +478,7 @@ class StructureGroupoid:
                 continue
             for o in objects_by_chart[t.src]:
                 img = t.map.apply(o)
-                if self.atlas.chart(t.dst).contains(img, self.witness):
+                if self.atlas.chart(t.dst).contains(img):
                     connections.append(Arrow(NebulaPoint(t.src, o), t.map, t.dst))
                     done_pairs.add(pair)
                     break
@@ -490,8 +491,7 @@ class StructureGroupoid:
                               tuple(isotropy))
 
 
-def build_groupoid(atlas: Atlas, witness: Optional[AlphaWitness] = None,
-                   check_bound: int = 1) -> StructureGroupoid:
+def build_groupoid(atlas: Atlas) -> StructureGroupoid:
     """Construct the structure groupoid, spot-checking declared transitions.
 
     Operational consistency check per transition (src Γ, dst Γ', map m):
@@ -501,26 +501,26 @@ def build_groupoid(atlas: Atlas, witness: Optional[AlphaWitness] = None,
     """
     from .groups import membership_status
 
-    g = StructureGroupoid(atlas, witness)
+    g = StructureGroupoid(atlas)
     for t in atlas.transitions:
         if t.map.is_identity and t.src == t.dst:
             continue
         src, dst = atlas.chart(t.src), atlas.chart(t.dst)
-        sample = _overlap_sample(src, dst, t.map, g.witness)
+        sample = _overlap_sample(src, dst, t.map)
         if sample is None:
             raise InconsistentTransitionError(
                 f"transition {t.src}→{t.dst}: empty overlap sample")
         minv = t.map.invert()
-        for gamma in src.group.enumerate(check_bound):
+        for gamma in src.group.enumerate(TRANSITION_CHECK_BOUND):
             conj = t.map.compose(gamma).compose(minv)
-            if membership_status(dst.group, conj, check_bound * 4) is Trit.FALSE:
+            if membership_status(dst.group, conj,
+                                 TRANSITION_CHECK_BOUND * 4) is Trit.FALSE:
                 raise InconsistentTransitionError(
                     f"transition {t.src}→{t.dst}: conjugate {conj} escapes Γ'")
     return g
 
 
-def _overlap_sample(src: Chart, dst: Chart, m: AffineElement,
-                    witness: AlphaWitness):
+def _overlap_sample(src: Chart, dst: Chart, m: AffineElement):
     """A point of dom(src) whose image lies in dom(dst), or None."""
     candidates = []
     if src.domain is None:
@@ -537,7 +537,7 @@ def _overlap_sample(src: Chart, dst: Chart, m: AffineElement,
             for iv in src.domain))
     for pt in candidates:
         try:
-            if src.contains(pt, witness) and dst.contains(m.apply(pt), witness):
+            if src.contains(pt) and dst.contains(m.apply(pt)):
                 return pt
         except PrecisionInsufficientError:
             continue

@@ -9,14 +9,14 @@ carries free commuting actions whose class maps are bijections onto objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .atlas import Atlas, StructureGroupoid
 from .errors import (InconsistentTransitionError, NotComposableError,
                      QuasifoldError)
-from .exact import AffineElement, AlphaWitness, QAlpha, Trit, default_witness
+from .exact import AffineElement, QAlpha, Trit
 from .groupoid import Arrow, NebulaPoint
 from .groups import (FiniteMatrixGroup, GeneratedGroup, RationalTranslations,
                      TranslationLattice, membership_status)
@@ -26,6 +26,8 @@ __all__ = [
     "invert_germ", "quotient_witness", "quotient_witness_right",
     "surjectivity_probe", "source_probe", "generate_germs",
 ]
+
+SEED_CHECK_BOUND = 3  # membership bound of the seed compatibility check
 
 
 @dataclass(frozen=True)
@@ -64,15 +66,13 @@ class BiAtlas:
     left: Atlas
     right: Atlas
     seeds: tuple
-    witness: AlphaWitness = field(default_factory=default_witness)
-    check_bound: int = 3
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.seeds:
             raise QuasifoldError("a bi-atlas needs at least one seed germ")
-        left_g = StructureGroupoid(self.left, self.witness)
-        right_g = StructureGroupoid(self.right, self.witness)
+        left_g = StructureGroupoid(self.left)
+        right_g = StructureGroupoid(self.right)
         for z in self.seeds:
             left_g.require_point(z.src)
             right_g.require_point(z.trg)
@@ -89,7 +89,8 @@ class BiAtlas:
         inv = z.map.invert()
         for gamma in _compatibility_sample(gamma_left):
             conj = z.map.compose(gamma).compose(inv)
-            if membership_status(gamma_right, conj, self.check_bound) is Trit.FALSE:
+            if membership_status(gamma_right, conj,
+                                 SEED_CHECK_BOUND) is Trit.FALSE:
                 raise InconsistentTransitionError(
                     f"seed {z} does not intertwine the structure groups: "
                     f"{gamma} conjugates outside the right group")
@@ -103,12 +104,7 @@ class BiAtlas:
     def inverse(self) -> "BiAtlas":
         """Swap the two atlases and invert every seed."""
         return BiAtlas(self.right, self.left,
-                       tuple(invert_germ(z) for z in self.seeds),
-                       self.witness, self.check_bound)
-
-    def to_json(self):
-        from .serialize import biatlas_to_json
-        return biatlas_to_json(self)
+                       tuple(invert_germ(z) for z in self.seeds))
 
 
 def left_act(g: Arrow, z: LinkingGerm) -> LinkingGerm:

@@ -28,7 +28,7 @@ from .catalog import (builtin_atlases, builtin_biatlases, get_atlas,
                       get_biatlas, z_alpha_lattice)
 from .errors import (FibersIncompatibleError, InconclusiveAtBoundError,
                      QuasifoldError)
-from .exact import (AlphaWitness, QAlpha, default_witness, qa,
+from .exact import (AlphaWitness, QAlpha, compare, default_witness, qa,
                     set_default_witness)
 from .groupoid import NebulaPoint, arrow_compose
 from .groups import RationalTranslations
@@ -260,8 +260,7 @@ def parse_vector(text: str) -> tuple:
 
 def cmd_groupoid(args, cfg) -> dict:
     atlas = resolve_atlas(args.atlas)
-    witness = make_witness(cfg)
-    groupoid = StructureGroupoid(atlas, witness)
+    groupoid = StructureGroupoid(atlas)
     point = (parse_point(args.point, atlas) if args.point
              else NebulaPoint(atlas.charts[0].id,
                               tuple(qa(0) for _ in range(atlas.dimension))))
@@ -297,16 +296,15 @@ def _axiom_corpus(rng, model, trials, kind):
 
 
 def cmd_algebra(args, cfg) -> dict:
-    witness = make_witness(cfg)
     rng = random.Random(cfg["seed"])
     trials = cfg["trials"]
     route_tol = 1e-12
     axiom_tol = cfg["tol"]
     models = {
-        "line": alg.LineModel(z_alpha_lattice(), witness),
-        "circle-full": alg.CircleModel("full", witness),
-        "circle-rational": alg.CircleModel("rational", witness),
-        "circle-alpha": alg.CircleModel("alpha", witness),
+        "line": alg.LineModel(z_alpha_lattice()),
+        "circle-full": alg.CircleModel("full"),
+        "circle-rational": alg.CircleModel("rational"),
+        "circle-alpha": alg.CircleModel("alpha"),
     }
     wanted = args.model or list(models)
     checks = []
@@ -348,10 +346,9 @@ def cmd_algebra(args, cfg) -> dict:
 
 
 def cmd_rotation(args, cfg) -> dict:
-    witness = make_witness(cfg)
     if args.negate:
-        witness = witness.negated()
-    result = alg.rotation_relation(witness, max_power=args.max_power)
+        set_default_witness(default_witness().negated())
+    result = alg.rotation_relation(max_power=args.max_power)
     lam = result["lambda"]
     checks = [
         check("lambda-matches-reference",
@@ -371,9 +368,8 @@ def cmd_rotation(args, cfg) -> dict:
 
 
 def cmd_repr(args, cfg) -> dict:
-    witness = make_witness(cfg)
     rng = random.Random(cfg["seed"])
-    model = alg.CircleModel("rational", witness)
+    model = alg.CircleModel("rational")
     ps = args.p
     checks = [check("product-order-constant", "pass",
                     value=alg.REPRESENTATION_PRODUCT_ORDER)]
@@ -408,9 +404,8 @@ def cmd_repr(args, cfg) -> dict:
 
 
 def cmd_rq_algebra(args, cfg) -> dict:
-    witness = make_witness(cfg)
     rng = random.Random(cfg["seed"])
-    model = alg.CircleModel("rational", witness)
+    model = alg.CircleModel("rational")
     trials = cfg["trials"]
     worst_routes = 0.0
     worst_adjoint = 0.0
@@ -553,7 +548,6 @@ def cmd_morita(args, cfg) -> dict:
 
 
 def _lift_detect(args, cfg) -> dict:
-    witness = make_witness(cfg)
     group = (RationalTranslations(1) if args.group == "rational"
              else z_alpha_lattice())
     rng = random.Random(cfg["seed"])
@@ -575,7 +569,7 @@ def _lift_detect(args, cfg) -> dict:
         def func(s, _g=tuple(gammas), _c=tuple(cuts)):
             x = s[0]
             for i, cut in enumerate(_c):
-                if witness.compare(x, cut) < 0:
+                if compare(x, cut) < 0:
                     return (x + _g[i],)
             return (x + _g[-1],)
 
@@ -589,7 +583,7 @@ def _lift_detect(args, cfg) -> dict:
     radius = float(args.stitch) if args.stitch > 1 else 1.0
     F = lift.SampledMap.from_function(func, (qa(0),), max(radius, 1.0) * 1.5,
                                       args.samples, kind="exact",
-                                      seed=cfg["seed"], witness=witness)
+                                      seed=cfg["seed"])
     report = lift.detect_pieces(F, group, cfg["bound"])
     ok = (report.coverage == expect_coverage
           and (expect_pieces == 0 or report.piece_count == expect_pieces))
@@ -787,8 +781,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     start = time.monotonic()
+    previous = default_witness()
     try:
         cfg = resolve_config(args)
+        # the run's α: every command reads it through default_witness()
         set_default_witness(make_witness(cfg))
         report = COMMANDS[args.command](args, cfg)
     except UsageError as exc:
@@ -797,6 +793,8 @@ def main(argv=None) -> int:
     except QuasifoldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        set_default_witness(previous)
     sys.stdout.write(render(report, cfg["format"]))
     elapsed = time.monotonic() - start
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)

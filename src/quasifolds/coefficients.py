@@ -14,7 +14,7 @@ Taylor shift happens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import _kernels as K
 from .errors import QuasifoldError
@@ -160,10 +160,10 @@ class PiecewisePoly:
         return PiecewisePoly((lo, hi), ((complex(c),),))
 
     @staticmethod
-    def interpolate_linear(breaks: Sequence[QAlpha], values: Sequence,
-                           witness: Optional[AlphaWitness] = None) -> "PiecewisePoly":
+    def interpolate_linear(breaks: Sequence[QAlpha],
+                           values: Sequence) -> "PiecewisePoly":
         """Continuous piecewise-linear interpolant (values at breakpoints)."""
-        w = witness or default_witness()
+        w = default_witness()
         if len(values) != len(breaks):
             raise QuasifoldError("one value per breakpoint")
         pieces = []
@@ -204,17 +204,17 @@ class PiecewisePoly:
                              tuple(tuple(x.conjugate() for x in p) for p in self.pieces))
 
     # -- grid alignment --
-    def _merged_breaks(self, other: "PiecewisePoly", witness: AlphaWitness):
+    def _merged_breaks(self, other: "PiecewisePoly", w: AlphaWitness):
         merged = list(self.breakpoints)
         seen = set(merged)
         for b in other.breakpoints:
             if b not in seen:
                 seen.add(b)
                 merged.append(b)
-        merged.sort(key=witness.evaluate)
+        merged.sort(key=w.evaluate)
         return merged
 
-    def _on_grid(self, grid, witness: AlphaWitness):
+    def _on_grid(self, grid, w: AlphaWitness):
         """Local piece coefficients on each grid interval (zero off-support).
 
         The merged grid contains every breakpoint of self exactly, so the
@@ -237,17 +237,16 @@ class PiecewisePoly:
             if left == base:
                 out.append(tuple(coeffs))
             else:
-                delta = witness.to_float(left - base)
+                delta = w.to_float(left - base)
                 out.append(tuple(K.poly_shift(list(coeffs), delta)))
         return out
 
-    def _binary(self, other: "PiecewisePoly", op,
-                witness: Optional[AlphaWitness] = None) -> "PiecewisePoly":
-        w = witness or default_witness()
+    def _binary(self, other: "PiecewisePoly", op) -> "PiecewisePoly":
         if not self.breakpoints:
             return other if op == "add" else PiecewisePoly()
         if not other.breakpoints:
             return self if op == "add" else PiecewisePoly()
+        w = default_witness()
         grid = self._merged_breaks(other, w)
         mine = self._on_grid(grid, w)
         theirs = other._on_grid(grid, w)
@@ -279,10 +278,10 @@ class PiecewisePoly:
         return _piecewise(tuple(breaks), tuple(pieces))
 
     # -- numerics --
-    def eval(self, x: float, witness: Optional[AlphaWitness] = None) -> complex:
-        w = witness or default_witness()
+    def eval(self, x: float) -> complex:
         if not self.breakpoints:
             return 0j
+        w = default_witness()
         floats = [w.to_float(b) for b in self.breakpoints]
         if x < floats[0] or x > floats[-1]:
             return 0j
@@ -291,12 +290,12 @@ class PiecewisePoly:
                 return K.poly_eval(list(self.pieces[i]), x - floats[i])
         return 0j
 
-    def max_jump(self, witness: Optional[AlphaWitness] = None) -> float:
+    def max_jump(self) -> float:
         """Largest discontinuity across interior breakpoints (and the ends,
         where the function must meet zero)."""
-        w = witness or default_witness()
         if not self.breakpoints:
             return 0.0
+        w = default_witness()
         worst = abs(K.poly_eval(list(self.pieces[0]), 0.0))
         for i in range(len(self.pieces) - 1):
             width = w.to_float(self.breakpoints[i + 1] - self.breakpoints[i])
@@ -307,17 +306,16 @@ class PiecewisePoly:
         worst = max(worst, abs(K.poly_eval(list(self.pieces[-1]), last_width)))
         return worst
 
-    def distance(self, other: "PiecewisePoly",
-                 witness: Optional[AlphaWitness] = None) -> float:
+    def distance(self, other: "PiecewisePoly") -> float:
         """Max coefficient difference on the merged grid (bounds nothing by
         itself, but is exactly the right notion for route comparisons)."""
-        w = witness or default_witness()
         if not self.breakpoints and not other.breakpoints:
             return 0.0
         if not self.breakpoints:
             return max((abs(c) for p in other.pieces for c in p), default=0.0)
         if not other.breakpoints:
             return max((abs(c) for p in self.pieces for c in p), default=0.0)
+        w = default_witness()
         grid = self._merged_breaks(other, w)
         mine = self._on_grid(grid, w)
         theirs = other._on_grid(grid, w)
@@ -327,9 +325,8 @@ class PiecewisePoly:
             worst = max(worst, max((abs(c) for c in arr), default=0.0))
         return worst
 
-    def allclose(self, other: "PiecewisePoly", tol: float,
-                 witness: Optional[AlphaWitness] = None) -> bool:
-        return self.distance(other, witness) <= tol
+    def allclose(self, other: "PiecewisePoly", tol: float) -> bool:
+        return self.distance(other) <= tol
 
     def to_json(self):
         return {"kind": "piecewise",

@@ -2,9 +2,9 @@
 
 α is a formal irrational: elements are pairs of rationals (p, q) standing for
 p + q·α, compared coefficientwise for equality.  Order comparisons go through
-an AlphaWitness — a high-precision decimal value for α used *only* to decide
-signs, never equality; a comparison that lands inside the witness safety
-margin raises instead of guessing.
+the process-wide default AlphaWitness — a high-precision decimal value for α
+used *only* to decide signs, never equality; a comparison that lands inside
+the witness safety margin raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -323,6 +323,9 @@ _DEFAULT_WITNESS: Optional[AlphaWitness] = None
 
 
 def default_witness() -> AlphaWitness:
+    """The witness for α used by every order decision and evaluation in the
+    package (golden conjugate unless `set_default_witness` installed another).
+    No object keeps a witness of its own: an operation reads this once."""
     global _DEFAULT_WITNESS
     if _DEFAULT_WITNESS is None:
         _DEFAULT_WITNESS = AlphaWitness.golden()
@@ -334,8 +337,9 @@ def set_default_witness(w: AlphaWitness) -> None:
     _DEFAULT_WITNESS = w
 
 
-def compare(x: QAlpha, y=None, witness: Optional[AlphaWitness] = None) -> int:
-    return (witness or default_witness()).compare(x, y)
+def compare(x: QAlpha, y=None) -> int:
+    """Sign of x − y under the default witness."""
+    return default_witness().compare(x, y)
 
 
 class Trit(Enum):

@@ -68,7 +68,7 @@ class GroupPresentation:
     """Base class; subclasses fill in enumeration and orbit decisions."""
 
     dimension: int
-    hard_cap: int = 10_000
+    hard_cap = 10_000  # largest enumeration bound any presentation accepts
 
     def enumerate(self, bound: int) -> tuple:
         raise NotImplementedError
@@ -141,7 +141,6 @@ class TranslationLattice(GroupPresentation):
     """Z-span of finitely many Q+Qα translation vectors."""
 
     generators: tuple
-    hard_cap: int = 10_000
 
     def __post_init__(self):
         gens = tuple(tuple(v if isinstance(v, QAlpha) else QAlpha(Fraction(v))
@@ -190,26 +189,9 @@ class TranslationLattice(GroupPresentation):
 
     @property
     def is_dense(self) -> bool:
-        rows = self._coordinate_rows()
-        # dense (in the cases used here) iff Z-rank exceeds the dimension
-        rank = 0
-        m = [list(r) for r in rows]
-        cols = len(m[0])
-        r = 0
-        for c in range(cols):
-            pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            r += 1
-        rank = r
-        return rank > self.dimension
+        # dense (in the cases used here) iff Z-rank exceeds the dimension; a
+        # finitely generated subgroup of Q^m has Z-rank equal to its Q-rank
+        return len(_z_basis(self._generator_vectors())) > self.dimension
 
     def _generator_vectors(self):
         """Each generator as its (p-parts, q-parts) vector in Q^{2n}."""
@@ -272,7 +254,6 @@ class RationalTranslations(GroupPresentation):
     """All rational translations of R^n, height-ordered enumeration."""
 
     dimension: int = 1
-    hard_cap: int = 10_000
 
     @staticmethod
     def _line_values(bound: int):
@@ -319,7 +300,6 @@ class FiniteMatrixGroup(GroupPresentation):
     """Explicit finite affine group; closure is checked at construction."""
 
     elements: tuple
-    hard_cap: int = 10_000
 
     def __post_init__(self):
         elems = tuple(self.elements)
@@ -362,7 +342,6 @@ class GeneratedGroup(GroupPresentation):
     negative orbit answers are never certified."""
 
     generators: tuple
-    hard_cap: int = 10_000
 
     def __post_init__(self):
         gens = tuple(self.generators)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -49,7 +49,6 @@ class SampledMap:
     values: tuple
     kind: str
     func: Optional[Callable] = None
-    witness: AlphaWitness = field(default_factory=default_witness)
 
     def __post_init__(self):
         if self.kind not in ("exact", "numeric"):
@@ -67,9 +66,10 @@ class SampledMap:
                 if exact != (self.kind == "exact"):
                     raise QuasifoldError(
                         "exact and numeric coordinates cannot mix")
+        w = default_witness()
         for s in samples:
             for c, ctr in zip(s, self.center):
-                offset = (self.witness.to_float(c - ctr) if self.kind == "exact"
+                offset = (w.to_float(c - ctr) if self.kind == "exact"
                           else abs(c - ctr))
                 if abs(offset) > self.radius + 1e-12:
                     raise QuasifoldError(f"sample {s} outside the ball")
@@ -83,11 +83,10 @@ class SampledMap:
 
     @staticmethod
     def from_function(func: Callable, center, radius: float, count: int,
-                      kind: str = "numeric", seed: int = 0,
-                      witness: Optional[AlphaWitness] = None) -> "SampledMap":
+                      kind: str = "numeric", seed: int = 0) -> "SampledMap":
         """Sample a callable on the ball; exact kind draws small rationals
         (with α parts) so that identities stay decidable."""
-        w = witness or default_witness()
+        w = default_witness()
         rng = random.Random(seed)
         n = len(center)
         samples = []
@@ -108,7 +107,7 @@ class SampledMap:
                                      for j in range(n)))
         values = tuple(tuple(func(s)) for s in samples)
         return SampledMap(tuple(center), radius, tuple(samples), values, kind,
-                          func, w)
+                          func)
 
 
 @dataclass(frozen=True)
@@ -139,11 +138,11 @@ class AffinePieceReport:
         }
 
 
-def _numeric_apply(g: AffineElement, s, witness: AlphaWitness):
+def _numeric_apply(g: AffineElement, s, w: AlphaWitness):
     n = g.n
     out = []
     for i in range(n):
-        acc = witness.to_float(g.b[i]) if isinstance(g.b[i], QAlpha) else float(g.b[i])
+        acc = w.to_float(g.b[i]) if isinstance(g.b[i], QAlpha) else float(g.b[i])
         for j in range(n):
             acc += float(g.a[i][j]) * s[j]
         out.append(acc)
@@ -161,6 +160,7 @@ def detect_pieces(F: SampledMap, group, bound: int,
     exact = F.kind == "exact"
     used_tol = 0.0 if exact else (1e-9 if tol is None else tol)
     gammas = group.enumerate(bound)
+    w = default_witness()
     assigned = {}
     all_matches = []
     unmatched = []
@@ -172,7 +172,7 @@ def detect_pieces(F: SampledMap, group, bound: int,
                 if vec_eq(g.apply(s), v):
                     matches.append(pos)
             else:
-                image = _numeric_apply(g, s, F.witness)
+                image = _numeric_apply(g, s, w)
                 residual = max(abs(a - b) for a, b in zip(image, v))
                 if residual <= used_tol:
                     matches.append(pos)
@@ -271,21 +271,19 @@ def _probe_vec(x, i, j, h, si, sj):
 
 
 def lift_diffeo(bi: BiAtlas, r: Sequence[QAlpha], r_prime: Sequence[QAlpha],
-                bound: int, seed_index: int = 0,
-                target_chart: Optional[str] = None) -> AffineElement:
+                bound: int) -> AffineElement:
     """Affine lift f̃ of the bi-atlas diffeomorphism with f̃(r) = r' exactly.
 
-    Starts from the seed lift f̃₀ and post-corrects by a right-groupoid arrow
-    from f̃₀(r) to r'.  Raises FibersIncompatibleError when the two points are
-    certifiably in different fibers, InconclusiveAtBoundError when no word
-    within the bound settles it.
+    Starts from the first seed's lift f̃₀, whose target chart r' lies in, and
+    post-corrects by a right-groupoid arrow from f̃₀(r) to r'.  Raises
+    FibersIncompatibleError when the two points are certifiably in different
+    fibers, InconclusiveAtBoundError when no word within the bound settles it.
     """
-    seed = bi.seeds[seed_index]
-    chart = target_chart or seed.dst_chart
+    seed = bi.seeds[0]
     r = tuple(r)
     r_prime = tuple(r_prime)
     image = NebulaPoint(seed.dst_chart, seed.map.apply(r))
-    target = NebulaPoint(chart, r_prime)
+    target = NebulaPoint(seed.dst_chart, r_prime)
     groupoid = bi.right_groupoid()
     arrows = groupoid.arrows_between(image, target, bound)
     if arrows:

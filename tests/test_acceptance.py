@@ -20,7 +20,8 @@ import pytest
 from quasifolds import (AffineElement, AlgebraElement, CircleModel, LineModel,
                         QAlpha, REPRESENTATION_PRODUCT_ORDER, Trit,
                         convolve_closed_form, convolve_general, default_witness,
-                        involute, matrix_representation, qa, rotation_relation)
+                        involute, matrix_representation, qa, rotation_relation,
+                        set_default_witness)
 from quasifolds.atlas import (StructureGroupoid, circle_arrow_compose,
                               phi_arrow, phi_object)
 from quasifolds.bimodule import (class_map, generate_germs, left_act,
@@ -264,7 +265,8 @@ def test_criterion_05_rotation_relation(capsys):
             bad.append(f"relation residual {rel['relation_residual']:.3e}")
         w = default_witness()
         alpha = w.to_float(qa(0, 1))
-        neg = rotation_relation(w.negated())
+        set_default_witness(w.negated())
+        neg = rotation_relation()
         flipped = abs(neg["lambda"] - cmath.exp(2j * math.pi * alpha))
         if flipped >= 1e-12:
             bad.append(f"negated-witness phase off by {flipped:.3e}")

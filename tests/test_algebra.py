@@ -18,8 +18,11 @@ from quasifolds.algebra import (REPRESENTATION_PRODUCT_ORDER, AlgebraElement,
 from quasifolds.coefficients import PiecewisePoly, TrigPoly
 from quasifolds.errors import (MixedCoefficientKindError, QuasifoldError,
                                SupportEscapesSubgroupError)
-from quasifolds.exact import default_witness, qa
-from quasifolds.catalog import z_alpha_lattice
+from quasifolds.atlas import build_groupoid
+from quasifolds.exact import (AlphaWitness, default_witness, qa,
+                              set_default_witness)
+from quasifolds.catalog import reflection_orbifold_atlas, z_alpha_lattice
+from quasifolds.groupoid import NebulaPoint
 
 W = default_witness()
 
@@ -227,10 +230,37 @@ class TestRotationRelation:
         assert rep["lambda"] == pytest.approx(cmath.exp(-2j * math.pi * alpha))
 
     def test_negated_witness_flips_lambda(self):
-        rep = rotation_relation(W.negated())
+        set_default_witness(W.negated())
+        rep = rotation_relation()
         alpha = W.to_float(qa(0, 1))
         assert rep["lambda"] == pytest.approx(cmath.exp(+2j * math.pi * alpha))
         assert rep["relation_residual"] < 1e-12
+
+
+class TestDefaultWitnessSwitch:
+    """Every order decision follows the default witness: models and
+    groupoids keep no α of their own."""
+
+    SILVER = AlphaWitness.from_decimal_string("0.41421356237309504880")
+
+    @pytest.mark.parametrize("silver", [False, True])
+    def test_line_product_and_fold_chart_follow_alpha(self, silver):
+        # built before the switch: nothing may keep the α it was built under
+        model = line_model()
+        fold = build_groupoid(reflection_orbifold_atlas())
+        if silver:
+            set_default_witness(self.SILVER)
+        half = delta(model, qa(0), bump(qa(0), qa(Fraction(1, 2))))
+        up_to_alpha = delta(model, qa(0), bump(qa(0), qa(0, 1)))
+        ((_, c),) = (half * up_to_alpha).support
+        # min(1/2, α): α ≈ 0.414 under silver, ≈ 0.618 under golden
+        assert c.support() == (qa(0), qa(0, 1) if silver else qa(Fraction(1, 2)))
+        five_alpha = NebulaPoint("fold", (qa(0, 5),))  # fold chart is (−3, 3)
+        if silver:
+            assert fold.require_point(five_alpha) == five_alpha
+        else:
+            with pytest.raises(QuasifoldError):
+                fold.require_point(five_alpha)
 
 
 class TestComplexMatrix:

@@ -9,6 +9,7 @@ import pytest
 
 from quasifolds.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS,
                             EXIT_USAGE, main)
+from quasifolds.exact import default_witness
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -153,6 +154,21 @@ class TestDeterminism:
         assert c1 == c2 == EXIT_PASS
         assert r1["config"]["seed"] == 1
         assert r2["config"]["seed"] == 2
+
+
+class TestDefaultWitnessScope:
+    SILVER = "0.41421356237309504880"
+
+    @pytest.mark.parametrize("argv", [
+        ("rotation", "--alpha", SILVER),
+        ("rotation", "--negate"),
+        ("groupoid", "--atlas", "t-alpha", "--alpha", SILVER,
+         "--point", "foo:0"),  # usage error after α is installed
+    ])
+    def test_main_restores_the_default_witness(self, capsys, argv):
+        before = default_witness()
+        run(capsys, *argv)
+        assert default_witness() is before
 
 
 class TestFormats:

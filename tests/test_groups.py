@@ -62,6 +62,9 @@ class TestTranslationLattice:
     def test_is_dense(self):
         assert zalpha().is_dense  # rank 2 > dimension 1
         assert not TranslationLattice(((qa(1),),)).is_dense
+        # dependent generators: three spanning rank 2, two spanning Z
+        assert TranslationLattice(((qa(1),), (qa(0, 1),), (qa(2, 3),))).is_dense
+        assert not TranslationLattice(((qa(2),), (qa(3),))).is_dense
 
     def test_enumeration_cap(self):
         lat = TranslationLattice(tuple((qa(1 if i == j else 0),)
