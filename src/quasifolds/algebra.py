@@ -96,10 +96,10 @@ class CircleModel:
 
     def canonical_key(self, r: QAlpha) -> QAlpha:
         k = r.mod1()
-        if self.subgroup == "rational" and k.q != 0:
+        if self.subgroup == "rational" and not k.is_rational:
             raise SupportEscapesSubgroupError(
                 f"rotation {r} has an α component; not in ℚ/ℤ")
-        if self.subgroup == "alpha" and k.p != 0:
+        if self.subgroup == "alpha" and k.triple[0]:
             raise SupportEscapesSubgroupError(
                 f"rotation {r} has a rational component; not in αℤ mod 1")
         return k
@@ -400,7 +400,8 @@ def matrix_representation(f: AlgebraElement, p: int,
     if p < 1:
         raise QuasifoldError("p must be a positive integer")
     for k, _ in f.support:
-        if (k.p * p).denominator != 1:
+        a, _, d = k.triple  # p-part a/d; p·a/d is an integer iff d | p·a
+        if p * a % d:
             raise SupportEscapesSubgroupError(
                 f"support key {k} is not a multiple of 1/{p}")
     rows = []

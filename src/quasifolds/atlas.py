@@ -170,7 +170,7 @@ class _Coset:
         if self.rational_full:
             if self.gens:
                 return None  # mixed case: no certificate
-            return all(v.q == 0 for v in d)
+            return all(v.is_rational for v in d)
         if not self.gens:
             return all(v.is_zero for v in d)
         status = TranslationLattice(self.gens).contains_value(d)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .atlas import Atlas, Chart, Interval, Transition
 from .bimodule import BiAtlas, LinkingGerm
-from .exact import AffineElement, QAlpha, qa
+from .exact import AffineElement, qa
 from .groupoid import NebulaPoint
 from .groups import FiniteMatrixGroup, RationalTranslations, TranslationLattice
 

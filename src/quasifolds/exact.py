@@ -1,17 +1,22 @@
 """Exact arithmetic for the ring Q + Q·α and for affine maps over it.
 
 α is a formal irrational: elements are pairs of rationals (p, q) standing for
-p + q·α, compared coefficientwise for equality.  Order comparisons go through
-the process-wide default AlphaWitness — a high-precision decimal value for α
-used *only* to decide signs, never equality; a comparison that lands inside
-the witness safety margin raises instead of guessing.
+p + q·α, compared coefficientwise for equality.  A value is stored as the
+integer triple (a, b, d) with p = a/d, q = b/d, d > 0 and gcd(a, b, d) = 1,
+so equality compares integers and arithmetic builds no Fraction; `p` and `q`
+are Fractions built when read.  Order comparisons go through the
+process-wide default AlphaWitness — a high-precision decimal value for α
+used *only* to decide signs, never equality; a comparison whose value lies
+inside the witness safety margin, scaled by the size of its terms, raises
+instead of guessing.  Linear systems over Q are solved fraction-free over Z.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import FrozenInstanceError, dataclass
 from decimal import Context, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
@@ -59,41 +64,92 @@ def rational_str(f: Fraction) -> str:
 # Q + Q·α
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _part_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for d > 0, without building the Fraction.
+
+    Python hashes a rational as n·d⁻¹ modulo `sys.hash_info.modulus`, so a
+    common factor of n and d does not change it.
+    """
+    if d == 1:
+        return hash(n)
+    try:
+        h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+    except ValueError:  # the modulus divides d
+        return hash(Fraction(n, d))
+    if n < 0:
+        h = -h
+    return -2 if h == -1 else h
+
+
 class QAlpha:
     """p + q·α with p, q rational; equality and hash are coefficientwise.
 
-    The hash is that of the pair (p, q), computed on first use and kept in
-    the `_hash` slot.
+    The value is stored as the integer triple (a, b, d), meaning
+    (a + b·α)/d with d > 0 and gcd(a, b, d) = 1.  Each value has exactly one
+    triple, so equality compares three integers and arithmetic runs on
+    integers with at most one gcd.  `p` and `q` build reduced Fractions when
+    read.  The hash is that of the pair (p, q), computed on first use and
+    kept in the `_hash` slot.
     """
 
-    p: Fraction = _ZERO
-    q: Fraction = _ZERO
-    _hash: Optional[int] = field(default=None, init=False, repr=False,
-                                 compare=False)
+    __slots__ = ("_t", "_hash")
 
-    def __post_init__(self):
-        if not isinstance(self.p, Fraction):
-            object.__setattr__(self, "p", Fraction(self.p))
-        if not isinstance(self.q, Fraction):
-            object.__setattr__(self, "q", Fraction(self.q))
+    def __init__(self, p=_ZERO, q=_ZERO):
+        if p.__class__ is int and q.__class__ is int:
+            t = (p, q, 1)
+        else:
+            if p.__class__ is not Fraction:
+                p = Fraction(p)
+            if q.__class__ is not Fraction:
+                q = Fraction(q)
+            pd, qd = p.denominator, q.denominator
+            if pd == qd:
+                t = (p.numerator, q.numerator, pd)
+            else:
+                # over the lcm, no prime of d divides both new numerators
+                d = math.lcm(pd, qd)
+                t = (p.numerator * (d // pd), q.numerator * (d // qd), d)
+        _set_t(self, t)
+        _set_hash(self, None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return QAlpha, (self.p, self.q)
+
+    @property
+    def p(self) -> Fraction:
+        a, _, d = self._t
+        return Fraction(a) if d == 1 else Fraction(a, d)
+
+    @property
+    def q(self) -> Fraction:
+        _, b, d = self._t
+        return Fraction(b) if d == 1 else Fraction(b, d)
+
+    @property
+    def triple(self) -> tuple:
+        """The normal form (a, b, d): the value is (a + b·α)/d, with d > 0
+        and gcd(a, b, d) = 1."""
+        return self._t
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if other.__class__ is not QAlpha:
             return NotImplemented
-        # Fractions are kept in lowest terms: compare numerator and denominator
-        a, b = self.p, other.p
-        if a.numerator != b.numerator or a.denominator != b.denominator:
-            return False
-        a, b = self.q, other.q
-        return a.numerator == b.numerator and a.denominator == b.denominator
+        return self._t == other._t
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((_frac_hash(self.p), _frac_hash(self.q)))
+            a, b, d = self._t
+            h = hash((_part_hash(a, d), _part_hash(b, d)))
             _set_hash(self, h)
         return h
 
@@ -101,48 +157,80 @@ class QAlpha:
     def __add__(self, other: "QAlpha") -> "QAlpha":
         if other.__class__ is not QAlpha:
             other = _as_qalpha(other)
-        return _qalpha(_fadd(self.p, other.p), _fadd(self.q, other.q))
+        a, b, d = self._t
+        a2, b2, d2 = other._t
+        if d == d2:
+            if d == 1:
+                return _qalpha(a + a2, b + b2, 1)
+            return _reduced(a + a2, b + b2, d)
+        return _reduced(a * d2 + a2 * d, b * d2 + b2 * d, d * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other: "QAlpha") -> "QAlpha":
         if other.__class__ is not QAlpha:
             other = _as_qalpha(other)
-        return _qalpha(_fsub(self.p, other.p), _fsub(self.q, other.q))
+        a, b, d = self._t
+        a2, b2, d2 = other._t
+        if d == d2:
+            if d == 1:
+                return _qalpha(a - a2, b - b2, 1)
+            return _reduced(a - a2, b - b2, d)
+        return _reduced(a * d2 - a2 * d, b * d2 - b2 * d, d * d2)
 
     def __rsub__(self, other) -> "QAlpha":
         return _as_qalpha(other) - self
 
     def __neg__(self) -> "QAlpha":
-        return _qalpha(-self.p, -self.q)
+        a, b, d = self._t
+        return _qalpha(-a, -b, d)
 
     def __mul__(self, r) -> "QAlpha":
-        if isinstance(r, QAlpha):
-            if r.q == 0:
-                r = r.p
-            elif self.q == 0:
-                return _qalpha(self.p * r.p, self.p * r.q)
-            else:
-                return NotImplemented  # α² never formed
-        if r.__class__ is Fraction or r.__class__ is int:
-            return _qalpha(self.p * r, self.q * r)
+        if r.__class__ is QAlpha:
+            a, b, d = r._t
+            if not b:
+                return self._times(a, d)
+            a, b, d = self._t
+            if not b:
+                return r._times(a, d)
+            return NotImplemented  # α² never formed
+        if r.__class__ is int or r.__class__ is Fraction:
+            return self.scale(r)
         return QAlpha(self.p * r, self.q * r)
 
     __rmul__ = __mul__
 
     def scale(self, r) -> "QAlpha":
-        if r.__class__ is not Fraction:
-            r = Fraction(r)
-        return _qalpha(_fmul(self.p, r), _fmul(self.q, r))
+        if r.__class__ is not int:
+            if r.__class__ is not Fraction:
+                r = Fraction(r)
+            return self._times(r.numerator, r.denominator)
+        return self._times(r, 1)
+
+    def _times(self, n: int, m: int) -> "QAlpha":
+        """self · n/m for m > 0."""
+        a, b, d = self._t
+        if m != 1:
+            return _reduced(a * n, b * n, d * m)
+        if n == 1:
+            return self
+        if d != 1:
+            # gcd(a·n, b·n, d) = gcd(n, d) because gcd(a, b, d) = 1
+            g = math.gcd(n, d)
+            if g != 1:
+                n //= g
+                d //= g
+        return _qalpha(a * n, b * n, d)
 
     # -- predicates --
     @property
     def is_rational(self) -> bool:
-        return self.q == 0
+        return not self._t[1]
 
     @property
     def is_zero(self) -> bool:
-        return not self.p and not self.q
+        t = self._t
+        return not t[0] and not t[1]
 
     def mod1(self) -> "QAlpha":
         """Canonical representative of p + qα modulo Z: reduce p to [0, 1).
@@ -150,18 +238,20 @@ class QAlpha:
         Unique because α is irrational: p + qα ≡ p' + q'α (mod Z) iff q = q'
         and p − p' ∈ Z.
         """
-        p = self.p
-        if 0 <= p.numerator < p.denominator:
+        a, b, d = self._t
+        if 0 <= a < d:
             return self
-        return _qalpha(p - math.floor(p), self.q)
+        return _qalpha(a % d, b, d)  # gcd(a mod d, b, d) = gcd(a, b, d)
 
     # -- serialization: "p" or "p+α*q" --
     def __str__(self) -> str:
-        if self.q == 0:
-            return rational_str(self.p)
-        if self.p == 0:
-            return f"α*{rational_str(self.q)}"
-        return f"{rational_str(self.p)}+α*{rational_str(self.q)}"
+        a, b, d = self._t
+        if not b:
+            return rational_str(Fraction(a, d))
+        q = rational_str(Fraction(b, d))
+        if not a:
+            return f"α*{q}"
+        return f"{rational_str(Fraction(a, d))}+α*{q}"
 
     __repr__ = __str__
 
@@ -186,67 +276,50 @@ class QAlpha:
         return QAlpha(p, sign * q)
 
     def sort_key(self):
-        """Deterministic order for reports; not the numeric order."""
-        return (self.p, self.q)
+        """Deterministic order for reports; not the numeric order.  Orders
+        as the pair (p, q)."""
+        a, b, d = self._t
+        if d == 1:
+            return (a, b)
+        return (Fraction(a, d), Fraction(b, d))
 
 
-_set_p = QAlpha.p.__set__
-_set_q = QAlpha.q.__set__
+_set_t = QAlpha._t.__set__
 _set_hash = QAlpha._hash.__set__
 _new = object.__new__
 
 
-def _qalpha(p: Fraction, q: Fraction) -> QAlpha:
-    """QAlpha from two Fractions, skipping the coercion in `__post_init__`."""
+def _qalpha(a: int, b: int, d: int) -> QAlpha:
+    """QAlpha from a triple already in normal form."""
     x = _new(QAlpha)
-    _set_p(x, p)
-    _set_q(x, q)
+    _set_t(x, (a, b, d))
     _set_hash(x, None)
     return x
 
 
-# Integer fast paths for the Fraction operations above: hash(Fraction(n)) is
-# hash(n), and integer sums need no gcd.  Results equal the Fraction ones.
-
-def _frac_hash(f: Fraction) -> int:
-    return hash(f.numerator) if f.denominator == 1 else hash(f)
-
-
-def _fadd(x: Fraction, y: Fraction) -> Fraction:
-    if not y:
-        return x
-    if x.denominator == 1 and y.denominator == 1:
-        return Fraction(x.numerator + y.numerator)
-    return x + y
-
-
-def _fsub(x: Fraction, y: Fraction) -> Fraction:
-    if not y:
-        return x
-    if x.denominator == 1 and y.denominator == 1:
-        return Fraction(x.numerator - y.numerator)
-    return x - y
-
-
-def _fmul(x: Fraction, r: Fraction) -> Fraction:
-    if not x or r == 1:
-        return x
-    if x.denominator == 1 and r.denominator == 1:
-        return Fraction(x.numerator * r.numerator)
-    return x * r
+def _reduced(a: int, b: int, d: int) -> QAlpha:
+    """QAlpha (a + b·α)/d for d > 0, divided through by gcd(a, b, d)."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _qalpha(a, b, d)
 
 
 def _as_qalpha(x) -> QAlpha:
-    if isinstance(x, QAlpha):
+    if x.__class__ is QAlpha:
         return x
+    if x.__class__ is int:
+        return _qalpha(x, 0, 1)
     if isinstance(x, (int, Fraction)):
-        return QAlpha(Fraction(x))
+        return QAlpha(x)
     raise TypeError(f"cannot interpret {x!r} as QAlpha")
 
 
 def qa(p=0, q=0) -> QAlpha:
     """Convenience constructor: qa(1,2) = 1 + 2α."""
-    return QAlpha(Fraction(p), Fraction(q))
+    return QAlpha(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +350,8 @@ class AlphaWitness:
     def from_decimal_string(s: str, digits: Optional[int] = None,
                             margin_digits: int = 10) -> "AlphaWitness":
         value = Decimal(s)
+        if not value.is_finite() or math.isinf(float(value)):
+            raise ValueError(f"α must be a finite number, got {s!r}")
         if digits is None:
             digits = max(len(value.as_tuple().digits), 15)
         return AlphaWitness(value, digits, Decimal(10) ** -(digits - margin_digits))
@@ -284,25 +359,46 @@ class AlphaWitness:
     def negated(self) -> "AlphaWitness":
         return AlphaWitness(-self.value, self.digits, self.margin)
 
+    def _terms(self, x: QAlpha, ctx: Context) -> tuple:
+        """(p, q·α̂), each rounded in ctx: p and q are the same Decimals as
+        Decimal(numerator) / Decimal(denominator) of the reduced Fractions,
+        since a correctly rounded quotient depends only on its value."""
+        a, b, d = x._t
+        if d == 1:
+            p, q = ctx.create_decimal(a), ctx.create_decimal(b)
+        else:
+            d = Decimal(d)
+            p, q = ctx.divide(Decimal(a), d), ctx.divide(Decimal(b), d)
+        return p, ctx.multiply(q, self.value)
+
     def evaluate(self, x: QAlpha) -> Decimal:
         """p + q·α̂ rounded at digits + 10 significant digits."""
         ctx = _decimal_context(self.digits + 10)
-        return ctx.add(_to_decimal(x.p, ctx),
-                       ctx.multiply(_to_decimal(x.q, ctx), self.value))
+        return ctx.add(*self._terms(x, ctx))
 
     def to_float(self, x: QAlpha) -> float:
         return float(self.evaluate(x))
 
     def compare(self, x: QAlpha, y=None) -> int:
-        """Sign of x − y (−1, 0, +1); exact 0 only from equal coefficients."""
-        y = _as_qalpha(y) if y is not None else QAlpha()
-        d = _as_qalpha(x) - y
+        """Sign of x − y (−1, 0, +1); exact 0 only from equal coefficients.
+
+        With x − y = p + q·α, raises PrecisionInsufficientError when
+        |p + q·α̂| < margin·(1 + |p| + |q·α̂|): the rounding error of the
+        evaluation, and the error of α̂ times q, grow with the terms.
+        """
+        d = _as_qalpha(x)
+        if y is not None:
+            d = d - y
         if d.is_zero:
             return 0
-        v = self.evaluate(d)
-        if abs(v) < self.margin:
+        ctx = _decimal_context(self.digits + 10)
+        p, qa_ = self._terms(d, ctx)
+        v = ctx.add(p, qa_)
+        size = ctx.add(ctx.add(p.copy_abs(), qa_.copy_abs()), _DECIMAL_ONE)
+        if v.copy_abs() < ctx.multiply(self.margin, size):
             raise PrecisionInsufficientError(
-                f"|{d}| < margin {self.margin} at {self.digits} digits")
+                f"|{d}| < margin {self.margin}·(1 + |p| + |q·α|) "
+                f"at {self.digits} digits")
         return 1 if v > 0 else -1
 
 
@@ -311,12 +407,7 @@ def _decimal_context(prec: int) -> Context:
     return Context(prec=prec)
 
 
-def _to_decimal(f: Fraction, ctx: Context) -> Decimal:
-    """f rounded to the precision of ctx; the same value as
-    Decimal(numerator) / Decimal(denominator) computed in ctx."""
-    if f.denominator == 1:
-        return ctx.create_decimal(f.numerator)
-    return ctx.divide(Decimal(f.numerator), Decimal(f.denominator))
+_DECIMAL_ONE = Decimal(1)
 
 
 _DEFAULT_WITNESS: Optional[AlphaWitness] = None
@@ -417,39 +508,52 @@ def mat_inv(a: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in m)
 
 
-def _fraction(x) -> Fraction:
-    return x if x.__class__ is Fraction else Fraction(x)
+def _cleared_row(row: Sequence, r) -> list:
+    """row + [r] times the lcm of their denominators: a list of ints."""
+    vals = [x if x.__class__ is int or x.__class__ is Fraction else Fraction(x)
+            for x in (*row, r)]
+    lcm = math.lcm(*[x.denominator for x in vals])
+    return [x.numerator * (lcm // x.denominator) for x in vals]
 
 
 def solve_linear(a: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Solve a·x = rhs exactly. Returns ("unique", x), ("none", None) or
-    ("many", particular_solution)."""
+    ("many", particular_solution).
+
+    Gauss–Jordan with the leftmost nonzero pivot of each column and the free
+    variables set to zero, run fraction-free over ℤ (Bareiss, Math. Comp. 22,
+    1968): each row is cleared of denominators, and each elimination step
+    divides exactly by the previous pivot.  Every pivot entry then equals the
+    last pivot, so x costs one division per pivot at the end.
+    """
     rows, cols = len(a), len(a[0]) if a else 0
-    m = [[_fraction(x) for x in row] + [_fraction(rhs[i])]
-         for i, row in enumerate(a)]
+    m = [_cleared_row(row, rhs[i]) for i, row in enumerate(a)]
     pivots = []
     r = 0
+    prev = 1
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        top = m[r]
+        p = top[c]
         for i in range(rows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+            if i != r:
+                row = m[i]
+                f = row[c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(c)
         r += 1
         if r == rows:
             break
     for i in range(r, rows):
-        if m[i][cols] != 0:
+        if m[i][cols]:
             return "none", None
     x = [_ZERO] * cols
     for row_idx, c in enumerate(pivots):
-        x[c] = m[row_idx][cols]
+        x[c] = Fraction(m[row_idx][cols], prev)
     return ("unique" if len(pivots) == cols else "many"), x
 
 

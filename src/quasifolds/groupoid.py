@@ -11,7 +11,6 @@ chart whose maps agree on n+1 affinely independent points are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import NotComposableError
 from .exact import AffineElement, QAlpha, vec_eq

@@ -22,8 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, EnumerationCapError
-from .exact import (AffineElement, QAlpha, Trit, mat_identity, solve_linear,
-                    vec_eq)
+from .exact import AffineElement, QAlpha, Trit, solve_linear, vec_eq
 
 __all__ = [
     "GroupPresentation",
@@ -105,16 +104,11 @@ def _shell_tuples(k: int, bound: int):
 
 
 def _z_basis(vectors):
-    """Echelon Z-basis of the Z-span of rational vectors (small sizes)."""
-    vectors = [v for v in vectors if any(x != 0 for x in v)]
-    if not vectors:
+    """Echelon Z-basis of the Z-span of integer vectors (small sizes)."""
+    rows = [list(v) for v in vectors if any(v)]
+    if not rows:
         return []
-    m = len(vectors[0])
-    den = 1
-    for v in vectors:
-        for x in v:
-            den = math.lcm(den, x.denominator)
-    rows = [[int(x * den) for x in v] for v in vectors]
+    m = len(rows[0])
     pivot_row = 0
     for col in range(m):
         while True:
@@ -133,7 +127,7 @@ def _z_basis(vectors):
         if rows[pivot_row][col] < 0:
             rows[pivot_row] = [-a for a in rows[pivot_row]]
         pivot_row += 1
-    return [tuple(Fraction(a, den) for a in r) for r in rows[:pivot_row]]
+    return [tuple(r) for r in rows[:pivot_row]]
 
 
 @dataclass(frozen=True)
@@ -177,40 +171,54 @@ class TranslationLattice(GroupPresentation):
                 out.append(AffineElement.translation(vec))
         return tuple(out)
 
-    def _coordinate_rows(self):
-        """Stack p- and q-parts: 2n rows, one column per generator."""
-        n, k = self.dimension, len(self.generators)
-        rows = []
-        for j in range(n):
-            rows.append([self.generators[i][j].p for i in range(k)])
-        for j in range(n):
-            rows.append([self.generators[i][j].q for i in range(k)])
-        return rows
+    def _system(self, d: Sequence[QAlpha]):
+        """Σ_i c_i·g_i = d as integer equations in the c_i: (rows, rhs).
+
+        The p-part of each coordinate gives a row, then the q-part of each;
+        both rows of a coordinate are multiplied by the lcm of the
+        denominators in that coordinate.
+        """
+        p_rows, q_rows, p_rhs, q_rhs = [], [], [], []
+        for j, v in enumerate(d):
+            ts = [g[j].triple for g in self.generators]
+            a, b, dv = v.triple
+            den = math.lcm(dv, *[t[2] for t in ts])
+            p_rows.append([t[0] * (den // t[2]) for t in ts])
+            q_rows.append([t[1] * (den // t[2]) for t in ts])
+            p_rhs.append(a * (den // dv))
+            q_rhs.append(b * (den // dv))
+        return p_rows + q_rows, p_rhs + q_rhs
+
+    def _generator_vectors(self):
+        """Each generator as its (p-parts, q-parts) vector in Q^{2n}, times
+        the common denominator D of all generators: (D, integer vectors)."""
+        ts = [[v.triple for v in g] for g in self.generators]
+        den = math.lcm(*[t[2] for g in ts for t in g])
+        return den, [tuple(t[0] * (den // t[2]) for t in g)
+                     + tuple(t[1] * (den // t[2]) for t in g) for g in ts]
 
     @property
     def is_dense(self) -> bool:
         # dense (in the cases used here) iff Z-rank exceeds the dimension; a
         # finitely generated subgroup of Q^m has Z-rank equal to its Q-rank
-        return len(_z_basis(self._generator_vectors())) > self.dimension
-
-    def _generator_vectors(self):
-        """Each generator as its (p-parts, q-parts) vector in Q^{2n}."""
-        n = self.dimension
-        return [tuple(g[j].p for j in range(n)) + tuple(g[j].q for j in range(n))
-                for g in self.generators]
+        return len(_z_basis(self._generator_vectors()[1])) > self.dimension
 
     def contains_value(self, d: Sequence[QAlpha]) -> Trit:
         """Certified membership of d in the lattice, bound-independent."""
-        rhs = [v.p for v in d] + [v.q for v in d]
-        status, sol = solve_linear(self._coordinate_rows(), rhs)
+        status, sol = solve_linear(*self._system(d))
         if status == "none":
             return Trit.FALSE
         if status == "unique":
             return Trit.TRUE if all(c.denominator == 1 for c in sol) else Trit.FALSE
-        # dependent generators: re-solve against an independent Z-basis
-        basis = _z_basis(self._generator_vectors())
-        rows = [[b[i] for b in basis] for i in range(len(rhs))]
-        status, sol = solve_linear(rows, rhs)
+        # dependent generators: re-solve against an independent Z-basis B/D,
+        # as B·c = D·d with row k multiplied by the denominator of d's part k
+        den, vectors = self._generator_vectors()
+        basis = _z_basis(vectors)
+        ts = [v.triple for v in d]
+        nums = [t[0] for t in ts] + [t[1] for t in ts]
+        dens = [t[2] for t in ts] * 2
+        rows = [[b[k] * dens[k] for b in basis] for k in range(len(nums))]
+        status, sol = solve_linear(rows, [den * x for x in nums])
         if status == "none":
             return Trit.FALSE
         return Trit.TRUE if all(c.denominator == 1 for c in sol) else Trit.FALSE
@@ -221,8 +229,7 @@ class TranslationLattice(GroupPresentation):
         lattice; UNKNOWN means "in the lattice but not within bound" or
         "not found within bound"."""
         k = len(self.generators)
-        rhs = [v.p for v in d] + [v.q for v in d]
-        status, sol = solve_linear(self._coordinate_rows(), rhs)
+        status, sol = solve_linear(*self._system(d))
         if status == "none":
             return None, Trit.FALSE
         if status == "unique":
@@ -286,9 +293,10 @@ class RationalTranslations(GroupPresentation):
 
     def orbit_status(self, x, y, bound: int):
         d = tuple(b - a for a, b in zip(x, y))
-        if any(v.q != 0 for v in d):
+        if not all(v.is_rational for v in d):
             return None, Trit.FALSE  # α-coefficient obstruction
-        height = max((max(abs(v.p.numerator), v.p.denominator) for v in d),
+        # a rational value's triple (a, 0, d) has gcd(a, d) = 1: p = a/d reduced
+        height = max((max(abs(v.triple[0]), v.triple[2]) for v in d),
                      default=0)
         if height <= bound:
             return AffineElement.translation(d), Trit.TRUE
@@ -407,7 +415,7 @@ def membership_status(group: GroupPresentation, g: AffineElement, bound: int) ->
     if isinstance(group, RationalTranslations):
         if not g.is_translation:
             return Trit.FALSE
-        return Trit.TRUE if all(v.q == 0 for v in g.b) else Trit.FALSE
+        return Trit.TRUE if all(v.is_rational for v in g.b) else Trit.FALSE
     for cand in group.enumerate(bound):
         if cand == g:
             return Trit.TRUE

@@ -8,7 +8,6 @@ syntax; floats appear only inside numeric coefficient payloads.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from .algebra import AlgebraElement, CircleModel, LineModel

@@ -109,6 +109,25 @@ class TestBadInputIsRejectedAtParseTime:
         cfg.write_text(json.dumps({"trials": "x"}), encoding="utf-8")
         self.assert_usage_error(*run(capsys, "rotation", "--config", str(cfg)))
 
+    @pytest.mark.parametrize("argv", [
+        ("rotation", "--alpha", "inf"),
+        ("rotation", "--alpha", "nan"),
+        ("rotation", "--alpha", "1e400"),  # finite Decimal, infinite float
+        ("groupoid", "--atlas", "t-alpha", "--alpha", "nan"),
+    ])
+    def test_non_finite_alpha(self, capsys, argv):
+        self.assert_usage_error(*run(capsys, *argv))
+
+    def test_point_within_witness_precision_of_domain_end(self, capsys):
+        # F146·α − F145 + 3 = 3 − α¹⁴⁶ ≈ 3 − 3.1e-31: inside (−3, 3), but
+        # closer to the end than the witness can certify at this size
+        code, out, err = run(
+            capsys, "groupoid", "--atlas", "reflection-orbifold", "--point",
+            "fold:-898923707008479989274290850142"
+            "+α*1454489111232772683678306641953")
+        self.assert_usage_error(code, out, err)
+        assert "margin" in err and "outside" not in err
+
 
 class TestReportShape:
     def test_schema_and_summary(self, capsys):

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasifolds.errors import PrecisionInsufficientError
 from quasifolds.exact import (AffineElement, AlphaWitness, QAlpha, Trit,
@@ -82,12 +84,95 @@ class TestAlphaWitness:
     def test_module_level_compare(self):
         assert compare(qa(0), qa(1)) == -1
 
+    def test_fibonacci_near_ties_raise_rather_than_guess(self):
+        # F_n·α − F_{n−1} = (−1)^(n+1)·α^n for the golden conjugate: tiny
+        # values with large coefficients, where the evaluation error grows
+        w = default_witness()
+        fib = [0, 1]
+        while len(fib) <= 379:
+            fib.append(fib[-1] + fib[-2])
+        for n in range(1, 380):
+            x = qa(-fib[n - 1], fib[n])
+            sign = 1 if n % 2 else -1
+            try:
+                got = w.compare(x)
+            except PrecisionInsufficientError:
+                assert n > 90, f"n = {n} must get a sign"
+                continue
+            assert n < 100, f"n = {n} must raise"
+            assert got == sign, f"wrong sign at n = {n}"
+
+    def test_margin_scales_with_the_difference_not_the_operands(self):
+        w = default_witness()
+        big = 10 ** 45
+        # x − y is formed exactly, so large common parts cancel first
+        assert w.compare(qa(big + Fraction(1, 10 ** 5), big), qa(big, big)) == 1
+
 
 class TestTrit:
     def test_no_implicit_truthiness(self):
         with pytest.raises(TypeError):
             bool(Trit.TRUE)
         assert Trit.TRUE is Trit.TRUE
+
+
+def gauss_jordan_oracle(a, rhs):
+    """Gauss–Jordan over Fraction, leftmost pivots, free variables zero: the
+    solver `solve_linear` used before it eliminated over the integers."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
+         for i, row in enumerate(a)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if m[i][cols] != 0:
+            return "none", None
+    x = [Fraction(0)] * cols
+    for row_idx, c in enumerate(pivots):
+        x[c] = m[row_idx][cols]
+    return ("unique" if len(pivots) == cols else "many"), x
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def linear_systems(draw):
+    """Systems up to 4×4 with zero columns, rows that are combinations of
+    earlier rows, and right-hand sides that may break the dependency."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+    a, rhs = [], []
+    for _ in range(rows):
+        if a and draw(st.booleans()):
+            k1, k2 = draw(small_fractions), draw(small_fractions)
+            i, j = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(a) - 1))
+            row = [k1 * x + k2 * y for x, y in zip(a[i], a[j])]
+            value = k1 * rhs[i] + k2 * rhs[j]
+            if draw(st.booleans()):
+                value += draw(small_fractions)  # often inconsistent
+        else:
+            row = [draw(small_fractions) for _ in range(cols)]
+            value = draw(small_fractions)
+        a.append([Fraction(0) if c in zero_cols else x
+                  for c, x in enumerate(row)])
+        rhs.append(value)
+    return a, rhs
 
 
 class TestMatrices:
@@ -106,6 +191,20 @@ class TestMatrices:
         assert status == "none"
         status, _ = solve_linear([[Fraction(1), Fraction(1)]], [Fraction(1)])
         assert status == "many"
+
+    @settings(max_examples=200, deadline=None)
+    @given(linear_systems())
+    def test_solve_matches_fraction_gauss_jordan(self, system):
+        a, rhs = system
+        got = solve_linear(a, rhs)
+        assert got == gauss_jordan_oracle(a, rhs)
+        if got[1] is not None:
+            assert all(type(x) is Fraction for x in got[1])
+
+    def test_solve_accepts_mixed_int_and_fraction_entries(self):
+        a = [[2, Fraction(1, 3)], [Fraction(-1, 2), 4]]
+        rhs = [1, Fraction(5, 7)]
+        assert solve_linear(a, rhs) == gauss_jordan_oracle(a, rhs)
 
 
 class TestAffineElement:

@@ -3,6 +3,9 @@ trusts group closure afterwards.  Property tests pit every trusted fast path
 against the checked path it replaces; regression guards pin down that the
 checks stay where they belong."""
 
+import copy
+import math
+import pickle
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -30,6 +33,10 @@ PROPERTY = settings(max_examples=60, deadline=None)
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 nonzero = fractions.filter(lambda f: f != 0)
 qalphas = st.builds(QAlpha, fractions, fractions)
+# parts with more digits than the witness evaluates at
+big_fractions = st.fractions(max_denominator=10 ** 30).filter(
+    lambda f: abs(f.numerator) < 10 ** 80)
+big_qalphas = st.builds(QAlpha, big_fractions, big_fractions)
 
 
 @st.composite
@@ -118,7 +125,8 @@ class TestQAlphaFastPaths:
             assert type(got.p) is Fraction and type(got.q) is Fraction
 
     @PROPERTY
-    @given(qalphas, st.sampled_from(["golden", "silver", "negated"]))
+    @given(st.one_of(qalphas, big_qalphas),
+           st.sampled_from(["golden", "silver", "negated"]))
     def test_evaluate_matches_local_context_division(self, x, which):
         silver = AlphaWitness.from_decimal_string("0.41421356237309504880")
         w = {"golden": default_witness(), "silver": silver,
@@ -133,6 +141,100 @@ class TestQAlphaFastPaths:
 
     def test_slots_leave_no_instance_dict(self):
         assert not hasattr(qa(1, 2), "__dict__")
+
+
+# ---------------------------------------------------------------------------
+# QAlpha: the integer triple is a normal form on every route
+# ---------------------------------------------------------------------------
+
+def assert_normal(x: QAlpha):
+    a, b, d = x.triple
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (x.p, x.q) == (Fraction(a, d), Fraction(b, d))
+
+
+class TestNormalForm:
+    @PROPERTY
+    @given(st.one_of(fractions, big_fractions), st.one_of(fractions, big_fractions))
+    def test_construction_and_parse(self, p, q):
+        for x in (QAlpha(p, q), qa(p, q), QAlpha.parse(str(QAlpha(p, q)))):
+            assert_normal(x)
+            assert x.triple == QAlpha(p, q).triple
+            assert (x.p, x.q) == (p, q)
+
+    @PROPERTY
+    @given(qalphas, qalphas, fractions, st.integers(-6, 6))
+    def test_arithmetic_results(self, x, y, r, n):
+        results = [x + y, x - y, y - x, -x, x.scale(r), x.scale(-r),
+                   x.scale(n), x.scale(0), x * r, r * x, x * n, x * qa(r),
+                   qa(r) * x, x.mod1(), (-x).mod1(), x + n, n - x]
+        for got in results:
+            assert_normal(got)
+        assert x.scale(0).triple == (0, 0, 1)
+
+    @PROPERTY
+    @given(qalphas, qalphas)
+    def test_equal_values_have_equal_triples(self, x, y):
+        same = (x.p, x.q) == (y.p, y.q)
+        assert (x == y) == same == (x.triple == y.triple)
+        # the same value reached by two routes
+        z = (x + y) - y
+        assert z.triple == x.triple and hash(z) == hash(x)
+
+    @PROPERTY
+    @given(st.one_of(qalphas, big_qalphas))
+    def test_hash_is_the_pair_hash(self, x):
+        assert hash(x) == hash((x.p, x.q))
+
+    @PROPERTY
+    @given(qalphas)
+    def test_pickle_and_deepcopy_round_trip(self, x):
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x),
+                  copy.copy(x)):
+            assert y == x and y.triple == x.triple and hash(y) == hash(x)
+
+    def test_immutable(self):
+        x = qa(Fraction(1, 2), 3)
+        for name in ("p", "q", "triple", "_t", "_hash", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            del x._t
+        assert x.triple == (1, 6, 2)
+
+
+def test_hot_operations_build_no_fraction(monkeypatch):
+    """`+`, `-`, `==`, a second hash, integer `scale` and `mod1` run on the
+    integer triple alone."""
+    xs = [qa(Fraction(7, 2), Fraction(-1, 3)), qa(5, -2), qa(Fraction(-9, 4)),
+          qa(0, Fraction(5, 6))]
+    for x in xs:
+        hash(x)
+    built = []
+    original_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        original_coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_coprime(cls, *args):
+            built.append(args)
+            return original_coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(counting_coprime))
+    assert Fraction(1, 2) and built  # the counter sees constructions
+    built.clear()
+    for x in xs:
+        for y in xs:
+            x + y, x - y, x == y
+        hash(x), x.scale(3), x.scale(-2), x.scale(0), x.mod1(), -x
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
