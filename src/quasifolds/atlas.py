@@ -11,6 +11,11 @@ Point equality on the quasifold is bounded-decidable: arrows found within a
 bound certify "equal"; coefficient/lattice obstructions (computed on a
 saturated set of reachable affine cosets) certify "not equal"; otherwise the
 answer is inconclusive-at-bound.
+
+Word generation, transition routes and the reachable-coset walk are each a
+start set plus a step function handed to `groups.breadth_first`; its
+`closed` flag is what allows a "not equal" certificate.  Cosets compare as
+point sets, so the walk deduplicates them like any other state.
 """
 
 from __future__ import annotations
@@ -19,12 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (InconsistentTransitionError, PrecisionInsufficientError,
-                     QuasifoldError)
+from .errors import (InconclusiveAtBoundError, InconsistentTransitionError,
+                     PrecisionInsufficientError, QuasifoldError)
 from .exact import AffineElement, QAlpha, Trit, default_witness, vec_eq
 from .groupoid import Arrow, NebulaPoint, arrow_invert
 from .groups import (FiniteMatrixGroup, GroupPresentation,
-                     RationalTranslations, TranslationLattice)
+                     RationalTranslations, TranslationLattice, breadth_first)
 
 __all__ = [
     "Interval", "Chart", "Transition", "Atlas", "StructureGroupoid",
@@ -150,21 +155,27 @@ class Atlas:
 @dataclass(frozen=True)
 class _Coset:
     """base + Z-span(gens) (+ all rational translations when rational_full),
-    inside one chart: the set of points a group/transition word can reach."""
+    inside one chart: the set of points a group/transition word can reach.
+
+    Equality is equality of point sets, decided where a certificate exists:
+    a base difference that cannot be certified counts as unequal.  The hash
+    ignores the base."""
 
     chart: str
     base: tuple
     gens: tuple
     rational_full: bool = False
 
-    def same_as(self, other: "_Coset") -> bool:
+    def __eq__(self, other) -> bool:
         if (self.chart != other.chart
                 or self.rational_full != other.rational_full
-                or len(self.gens) != len(other.gens)):
+                or len(self.gens) != len(other.gens)
+                or set(self.gens) != set(other.gens)):
             return False
-        if set(self.gens) != set(other.gens):
-            return False
-        return self._contains_vec(tuple(b - a for a, b in zip(self.base, other.base)))
+        return bool(self.contains_point(other.base))
+
+    def __hash__(self) -> int:
+        return hash((self.chart, self.rational_full, frozenset(self.gens)))
 
     def _contains_vec(self, d) -> Optional[bool]:
         if self.rational_full:
@@ -181,10 +192,18 @@ class _Coset:
     def contains_point(self, coords) -> Optional[bool]:
         return self._contains_vec(tuple(b - a for a, b in zip(self.base, coords)))
 
+    def moved(self, chart: str, m: AffineElement) -> "_Coset":
+        """Image of the coset under the affine map m, placed in `chart`."""
+        gens = tuple(
+            tuple(sum((x.scale(m.a[i][j]) for j, x in enumerate(vec)), QAlpha())
+                  for i in range(m.n))
+            for vec in self.gens)
+        return _Coset(chart, m.apply(self.base), gens, self.rational_full)
 
-def _saturate(coset: _Coset, group: GroupPresentation):
-    """Close a coset under a chart group; returns list of cosets or None if
-    the group kind admits no certificate."""
+
+def _saturate(coset: _Coset, group: GroupPresentation) -> list:
+    """Close a coset under a chart group, as a list of cosets.  Raises
+    InconclusiveAtBoundError for a group kind that admits no certificate."""
     if isinstance(group, TranslationLattice):
         gens = list(coset.gens)
         for g in group.generators:
@@ -194,16 +213,10 @@ def _saturate(coset: _Coset, group: GroupPresentation):
     if isinstance(group, RationalTranslations):
         return [_Coset(coset.chart, coset.base, coset.gens, True)]
     if isinstance(group, FiniteMatrixGroup):
-        out = []
-        for g in group.elements:
-            base = g.apply(coset.base)
-            gens = tuple(
-                tuple(sum((v.scale(g.a[i][j]) for j, v in enumerate(vec)), QAlpha())
-                      for i in range(g.n))
-                for vec in coset.gens)
-            out.append(_Coset(coset.chart, base, gens, coset.rational_full))
-        return out
-    return None  # GeneratedGroup etc.: absence never certified
+        return [coset.moved(coset.chart, g) for g in group.elements]
+    # GeneratedGroup etc.: absence never certified
+    raise InconclusiveAtBoundError(
+        f"{type(group).__name__} admits no coset certificate")
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +282,11 @@ class StructureGroupoid:
     def _transition_letters(self):
         letters = {}
         for t in self.atlas.transitions:
-            letters.setdefault(t.src, [])
-            letters.setdefault(t.dst, [])
-            if (t.dst, t.map) not in [(d, m) for d, m in letters[t.src]]:
-                letters[t.src].append((t.dst, t.map))
-            inv = t.map.invert()
-            if (t.src, inv) not in [(d, m) for d, m in letters[t.dst]]:
-                letters[t.dst].append((t.src, inv))
+            for src, letter in ((t.src, (t.dst, t.map)),
+                                (t.dst, (t.src, t.map.invert()))):
+                out = letters.setdefault(src, [])
+                if letter not in out:
+                    out.append(letter)
         return letters
 
     def valid_point(self, point: NebulaPoint) -> bool:
@@ -292,45 +303,24 @@ class StructureGroupoid:
         """Deterministic BFS over (chart, affine word map) pairs starting at v.
         Words alternate a full group layer (elements enumerated within bound)
         with single transition letters, up to `bound` transitions."""
-        def group_layer(states):
-            out = []
-            for chart_id, m in states:
-                chart = self.atlas.chart(chart_id)
-                for g in chart.group.enumerate(bound):
-                    m2 = g.compose(m)
-                    if chart.contains(m2.apply(v.coords)):
-                        out.append((chart_id, m2))
-            return out
+        def group_layer(chart_id, m):
+            chart = self.atlas.chart(chart_id)
+            for g in chart.group.enumerate(bound):
+                m2 = g.compose(m)
+                if chart.contains(m2.apply(v.coords)):
+                    yield chart_id, m2
 
-        seen = []
-        seen_set = set()
+        def step(state):
+            chart_id, m = state
+            pt = m.apply(v.coords)
+            for dst, tmap in self._letters.get(chart_id, ()):
+                if tmap.is_identity and dst == chart_id:
+                    continue
+                if self.atlas.chart(dst).contains(tmap.apply(pt)):
+                    yield from group_layer(dst, tmap.compose(m))
 
-        def add_all(states):
-            fresh = []
-            for st in states:
-                key = (st[0], st[1])
-                if key not in seen_set:
-                    seen_set.add(key)
-                    seen.append(st)
-                    fresh.append(st)
-            return fresh
-
-        frontier = add_all(group_layer([(v.chart, AffineElement.identity(len(v.coords)))]))
-        for _ in range(bound):
-            next_states = []
-            for chart_id, m in frontier:
-                pt = m.apply(v.coords)
-                for dst, tmap in self._letters.get(chart_id, ()):
-                    if tmap.is_identity and dst == chart_id:
-                        continue
-                    img = tmap.apply(pt)
-                    if not self.atlas.chart(dst).contains(img):
-                        continue
-                    next_states.append((dst, tmap.compose(m)))
-            frontier = add_all(group_layer(next_states))
-            if not frontier:
-                break
-        return seen
+        start = group_layer(v.chart, AffineElement.identity(len(v.coords)))
+        return breadth_first(start, step, bound)[0]
 
     def arrows_from(self, v: NebulaPoint, bound: int) -> tuple:
         self.require_point(v)
@@ -345,55 +335,35 @@ class StructureGroupoid:
         """Arrows v → w within bound; empty is not a nonexistence certificate."""
         self.require_point(v)
         self.require_point(w)
-        out, seen = [], set()
+        group = self.atlas.chart(w.chart).group
+        maps = {}  # word maps v → w, each once, in discovery order
         for chart_id, m in self._states_from(v, bound):
             if chart_id != w.chart:
                 continue
-            pt = m.apply(v.coords)
-            chart = self.atlas.chart(chart_id)
-            g, status = chart.group.orbit_status(pt, w.coords, bound)
+            g, status = group.orbit_status(m.apply(v.coords), w.coords, bound)
             if status is Trit.TRUE:
-                full = g.compose(m)
-                if full not in seen:
-                    seen.add(full)
-                    out.append(Arrow(v, full, chart_id))
-        return tuple(out)
+                maps.setdefault(g.compose(m))
+        return tuple(Arrow(v, full, w.chart) for full in maps)
 
     # -- three-valued point equality --
     def _reachable_cosets(self, v: NebulaPoint):
-        chart = self.atlas.chart(v.chart)
-        start = _saturate(_Coset(v.chart, tuple(v.coords), ()), chart.group)
-        if start is None:
+        """The cosets reachable from v by group and transition words, or None
+        when no certificate is available: a chart group admits none, or the
+        walk did not close within ROUTE_CAP transition layers."""
+        def step(coset):
+            for dst, tmap in self._letters.get(coset.chart, ()):
+                if tmap.is_identity and dst == coset.chart:
+                    continue
+                yield from _saturate(coset.moved(dst, tmap),
+                                     self.atlas.chart(dst).group)
+
+        try:
+            start = _saturate(_Coset(v.chart, tuple(v.coords), ()),
+                              self.atlas.chart(v.chart).group)
+            cosets, closed = breadth_first(start, step, ROUTE_CAP)
+        except InconclusiveAtBoundError:
             return None
-        cosets = list(start)
-
-        def known(c):
-            return any(c.same_as(existing) for existing in cosets)
-
-        frontier = list(cosets)
-        for _ in range(ROUTE_CAP):
-            new = []
-            for c in frontier:
-                for dst, tmap in self._letters.get(c.chart, ()):
-                    if tmap.is_identity and dst == c.chart:
-                        continue
-                    base = tmap.apply(c.base)
-                    gens = tuple(
-                        tuple(sum((x.scale(tmap.a[i][j]) for j, x in enumerate(vec)),
-                                  QAlpha()) for i in range(tmap.n))
-                        for vec in c.gens)
-                    moved = _Coset(dst, base, gens, c.rational_full)
-                    sat = _saturate(moved, self.atlas.chart(dst).group)
-                    if sat is None:
-                        return None
-                    for s in sat:
-                        if not known(s):
-                            cosets.append(s)
-                            new.append(s)
-            frontier = new
-            if not frontier:
-                return cosets  # saturated: certificates allowed
-        return None  # did not close within cap
+        return cosets if closed else None
 
     def same_point(self, v: NebulaPoint, w: NebulaPoint, bound: int) -> Trit:
         self.require_point(v)
@@ -418,23 +388,15 @@ class StructureGroupoid:
 
     # -- assembly --
     def _route_maps(self, src_chart: str):
-        """Transition-only words from src_chart: {(dst_chart, map)}, saturated."""
-        out = [(src_chart, AffineElement.identity(self.atlas.dimension))]
-        seen = {(src_chart, out[0][1])}
-        frontier = list(out)
-        for _ in range(ROUTE_CAP):
-            new = []
-            for chart_id, m in frontier:
-                for dst, tmap in self._letters.get(chart_id, ()):
-                    cand = (dst, tmap.compose(m))
-                    if cand not in seen:
-                        seen.add(cand)
-                        out.append(cand)
-                        new.append(cand)
-            frontier = new
-            if not frontier:
-                break
-        return out
+        """Transition-only words from src_chart: [(dst_chart, map)], each
+        once, within ROUTE_CAP transitions."""
+        def step(state):
+            chart_id, m = state
+            return [(dst, tmap.compose(m))
+                    for dst, tmap in self._letters.get(chart_id, ())]
+
+        start = [(src_chart, AffineElement.identity(self.atlas.dimension))]
+        return breadth_first(start, step, ROUTE_CAP)[0]
 
     def isotropy_and_assembly(self, v: NebulaPoint, bound: int) -> AssemblyReport:
         self.require_point(v)

@@ -6,7 +6,8 @@ Reports are canonical JSON on stdout (sorted keys, stable formatting); with
 so report bytes depend only on the configuration and seed.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or parse
-error, 3 inconclusive results only.
+error, 3 inconclusive results only, or a comparison the α-witness cannot
+certify at its precision.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .atlas import StructureGroupoid
 from .catalog import (builtin_atlases, builtin_biatlases, get_atlas,
                       get_biatlas, z_alpha_lattice)
 from .errors import (FibersIncompatibleError, InconclusiveAtBoundError,
-                     QuasifoldError)
+                     PrecisionInsufficientError, QuasifoldError)
 from .exact import (AlphaWitness, QAlpha, compare, default_witness, qa,
                     set_default_witness)
 from .groupoid import NebulaPoint, arrow_compose
@@ -790,6 +791,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except PrecisionInsufficientError as exc:
+        # valid input the α-witness cannot order at its precision
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except QuasifoldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

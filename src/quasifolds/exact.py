@@ -31,7 +31,6 @@ __all__ = [
     "Trit",
     "qa",
     "parse_rational",
-    "rational_str",
     "compare",
     "default_witness",
     "set_default_witness",
@@ -54,10 +53,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip().replace(" ", ""))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def rational_str(f: Fraction) -> str:
-    return str(f)
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +242,11 @@ class QAlpha:
     def __str__(self) -> str:
         a, b, d = self._t
         if not b:
-            return rational_str(Fraction(a, d))
-        q = rational_str(Fraction(b, d))
+            return str(Fraction(a, d))
+        q = str(Fraction(b, d))
         if not a:
             return f"α*{q}"
-        return f"{rational_str(Fraction(a, d))}+α*{q}"
+        return f"{str(Fraction(a, d))}+α*{q}"
 
     __repr__ = __str__
 
@@ -661,7 +656,7 @@ class AffineElement:
     # -- serialization --
     def to_json(self) -> dict:
         return {
-            "A": [[rational_str(x) for x in row] for row in self.a],
+            "A": [[str(x) for x in row] for row in self.a],
             "b": [str(x) for x in self.b],
         }
 
@@ -674,7 +669,7 @@ class AffineElement:
     def __str__(self) -> str:
         if self.is_translation:
             return "t[" + ", ".join(str(x) for x in self.b) + "]"
-        rows = "; ".join(" ".join(rational_str(x) for x in row) for row in self.a)
+        rows = "; ".join(" ".join(str(x) for x in row) for row in self.a)
         return f"aff[{rows} | " + ", ".join(str(x) for x in self.b) + "]"
 
     __repr__ = __str__

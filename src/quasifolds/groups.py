@@ -30,12 +30,43 @@ __all__ = [
     "RationalTranslations",
     "FiniteMatrixGroup",
     "GeneratedGroup",
+    "breadth_first",
     "enumerate_group",
     "orbit_witness",
 ]
 
 SIZE_CAP = 2_000_000  # refuse enumerations estimated beyond this many elements
 MEMO_CAP = 4_096  # enumerated elements a group instance keeps for reuse
+
+
+def breadth_first(start, step, depth: int):
+    """Bounded breadth-first search: (states, closed).
+
+    Each state reachable from `start` in at most `depth` rounds of `step`
+    (state -> iterable of states) is returned once, in discovery order: round
+    by round, and inside a round in the order `step` yields them.  `closed`
+    is true when a round found nothing new, so `states` is closed under
+    `step`; false means the search ended at its bound.  States must be
+    hashable; equal states count as one.
+    """
+    out, seen = [], set()
+    for state in start:
+        if state not in seen:
+            seen.add(state)
+            out.append(state)
+    frontier = list(out)
+    for _ in range(depth):
+        new = []
+        for state in frontier:
+            for cand in step(state):
+                if cand not in seen:
+                    seen.add(cand)
+                    out.append(cand)
+                    new.append(cand)
+        if not new:
+            return out, True
+        frontier = new
+    return out, False
 
 
 def _memoised(enumerate_fn):
@@ -364,36 +395,18 @@ class GeneratedGroup(GroupPresentation):
     def dimension(self) -> int:
         return self.generators[0].n
 
-    def _letters(self):
-        letters = []
-        for g in self.generators:
-            if g not in letters:
-                letters.append(g)
-            gi = g.invert()
-            if gi not in letters:
-                letters.append(gi)
-        return letters
-
     @_memoised
     def enumerate(self, bound: int) -> tuple:
         self._check_bound(bound, (2 * len(self.generators)) ** max(bound, 1))
-        letters = self._letters()
-        out = [AffineElement.identity(self.dimension)]
-        seen = {out[0]}
-        frontier = list(out)
-        for _ in range(bound):
-            new_frontier = []
-            for w in frontier:
-                for letter in letters:
-                    cand = letter.compose(w)
-                    if cand not in seen:
-                        seen.add(cand)
-                        out.append(cand)
-                        new_frontier.append(cand)
-            frontier = new_frontier
-            if not frontier:
-                break
-        return tuple(out)
+        letters = []
+        for g in self.generators:
+            for letter in (g, g.invert()):
+                if letter not in letters:
+                    letters.append(letter)
+        words, _ = breadth_first(
+            [AffineElement.identity(self.dimension)],
+            lambda w: (letter.compose(w) for letter in letters), bound)
+        return tuple(words)
 
     def orbit_status(self, x, y, bound: int):
         for g in self.enumerate(bound):

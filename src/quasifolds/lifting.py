@@ -142,7 +142,7 @@ def _numeric_apply(g: AffineElement, s, w: AlphaWitness):
     n = g.n
     out = []
     for i in range(n):
-        acc = w.to_float(g.b[i]) if isinstance(g.b[i], QAlpha) else float(g.b[i])
+        acc = w.to_float(g.b[i])
         for j in range(n):
             acc += float(g.a[i][j]) * s[j]
         out.append(acc)

@@ -1,5 +1,6 @@
 """Atlases, structure groupoids, bounded point equality, the circle functor."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from quasifolds.errors import (InconsistentTransitionError, NotComposableError,
                                QuasifoldError)
 from quasifolds.exact import AffineElement, Trit, qa
 from quasifolds.groupoid import Arrow, NebulaPoint, arrow_compose
-from quasifolds.groups import FiniteMatrixGroup, TranslationLattice
+from quasifolds.groups import (FiniteMatrixGroup, GeneratedGroup,
+                               TranslationLattice)
 
 
 def pt(x, chart="main"):
@@ -137,6 +139,39 @@ class TestDuplicatedAtlas:
         assert g.same_point(NebulaPoint("a", (qa(0),)),
                             NebulaPoint("b", (qa(0, Fraction(1, 2)),)),
                             2) is Trit.FALSE
+
+    def test_arrow_order_is_pinned(self):
+        # discovery order and bytes of the word search, pinned across changes
+        g = build_groupoid(t_alpha_duplicated_atlas())
+        arrows = g.arrows_from(NebulaPoint("a", (qa(0),)), 2)
+        text = "\n".join(str(a) for a in arrows)
+        assert len(arrows) == 250
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+            "becf2d9a5e743389"
+
+
+class TestUncertifiableSamePoint:
+    """Where no coset certificate exists, absence is UNKNOWN, never FALSE."""
+
+    def test_generated_group_chart(self):
+        shift = AffineElement.translation((qa(1),))
+        g = build_groupoid(Atlas((Chart("main", GeneratedGroup((shift,))),)))
+        assert g.same_point(pt(qa(0)), pt(qa(Fraction(1, 2))), 2) \
+            is Trit.UNKNOWN
+        assert g.same_point(pt(qa(0)), pt(qa(1)), 2) is Trit.TRUE
+        assert g._reachable_cosets(pt(qa(0))) is None
+
+    def test_coset_walk_that_never_closes(self):
+        # x ↦ 2x and its inverse keep adding generators 2^k: the walk does
+        # not close within ROUTE_CAP, so 1/3 (not dyadic) stays UNKNOWN
+        doubling = AffineElement.linear(((Fraction(2),),))
+        g = build_groupoid(Atlas(
+            (Chart("main", TranslationLattice(((qa(1),),))),),
+            (Transition("main", "main", doubling),)))
+        assert g._reachable_cosets(pt(qa(0))) is None
+        assert g.same_point(pt(qa(0)), pt(qa(Fraction(1, 3))), 1) \
+            is Trit.UNKNOWN
+        assert g.same_point(pt(qa(0)), pt(qa(Fraction(1, 2))), 1) is Trit.TRUE
 
 
 class TestReflectionOrbifold:

@@ -2,6 +2,7 @@
 formats, and configuration precedence.  Everything runs in-process through
 main(argv)."""
 
+import hashlib
 import json
 import os
 
@@ -81,7 +82,8 @@ class TestExitCodes:
 
 
 class TestBadInputIsRejectedAtParseTime:
-    """Each bad input exits 2 with a single error line and no traceback."""
+    """Each bad input exits 2 with a single error line and no traceback; a
+    valid input the α-witness cannot order exits 3 the same way."""
 
     def assert_usage_error(self, code, out, err):
         assert code == EXIT_USAGE
@@ -125,7 +127,11 @@ class TestBadInputIsRejectedAtParseTime:
             capsys, "groupoid", "--atlas", "reflection-orbifold", "--point",
             "fold:-898923707008479989274290850142"
             "+α*1454489111232772683678306641953")
-        self.assert_usage_error(code, out, err)
+        # valid input that cannot be certified: inconclusive, not usage error
+        assert code == EXIT_INCONCLUSIVE
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "Traceback" not in err
         assert "margin" in err and "outside" not in err
 
 
@@ -164,6 +170,19 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("groupoid", "--atlas", "t-alpha-duplicated", "--bound", "2"),
+         "d3ad6736cf2b38699a9719bdd2e09956f8f576187648a44256d5f14fbb669e10"),
+        (("groupoid", "--atlas", "reflection-orbifold", "--point", "away:1",
+          "--bound", "2"),
+         "58275e13fad955caa6cc5b5fe267a31e933a0303b009f7c05018216caae6045c"),
+    ])
+    def test_stdout_bytes_are_pinned(self, capsys, argv, digest):
+        # word discovery order and report bytes, pinned across code changes
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_PASS
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_seed_changes_corpus_not_validity(self, capsys):
         c1, r1, _ = run_json(capsys, "algebra", "check", "--trials", "5",

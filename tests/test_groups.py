@@ -119,6 +119,9 @@ class TestGeneratedGroup:
         elems = g.enumerate(2)
         values = {e.b[0] for e in elems}
         assert values == {qa(-2), qa(-1), qa(0), qa(1), qa(2)}
+        # breadth-first: word length, then letter order (generator, inverse)
+        assert [str(e) for e in elems] == ['t[0]', 't[1]', 't[-1]', 't[2]',
+                                           't[-2]']
 
     def test_never_certifies_absence(self):
         g = GeneratedGroup((AffineElement.translation((qa(1),)),))
