@@ -1,7 +1,10 @@
-"""Dense complex coefficient kernels (pure Python, implemented in _ref)."""
+"""Dense complex coefficient kernels: the eight per-pair kernels of _ref
+(pure Python) and the batched circle product of _numpy."""
 
+from ._numpy import circle_convolve
 from ._ref import (BACKEND, poly_add, poly_eval, poly_mul, poly_scale,
                    poly_shift, trig_eval, trig_mul, trig_rotate)
 
 __all__ = ["BACKEND", "poly_mul", "poly_add", "poly_scale", "poly_eval",
-           "poly_shift", "trig_mul", "trig_rotate", "trig_eval"]
+           "poly_shift", "trig_mul", "trig_rotate", "trig_eval",
+           "circle_convolve"]

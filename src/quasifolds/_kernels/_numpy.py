@@ -1,0 +1,84 @@
+"""Batched circle convolution, bitwise equal to the per-pair `_ref` kernels.
+
+One closed-form circle product Σ_{(s, a)} f_a(z + s)·g_s(z) has K×L key
+pairs.  Running `trig_rotate` and `trig_mul` once per pair spends most of its
+time in interpreter overhead; this kernel does all pairs at once in numpy and
+keeps the order of every floating-point operation, so for finite
+coefficients each mode comes out with the same bits as the per-pair route:
+
+* the rotation phase of mode k under shift t is `cmath.exp(1j * tau * k)`
+  with `tau = 2.0 * cmath.pi * t`, the expression of `_ref.trig_rotate`,
+  computed once per shift instead of once per pair;
+* `_ref.poly_mul` adds u·v into out[i + j] with i (the left factor's index)
+  outer; here one numpy pass per i adds the products of every pair at once;
+* pair results are added into their output rows in pair order.
+
+Complex products are written out in float64 real and imaginary parts
+(re = ar·br − ai·bi, im = ar·bi + ai·br), CPython's formula.  numpy's
+complex128 multiply may use fused or reordered vector loops whose results
+differ from CPython's in the last bit, so it is never used here.
+
+Zeros need no special case.  `_ref` skips zero left coefficients and prunes
+zero modes after each product and sum; here they are added as ±0, which
+changes nothing: an accumulator starts at +0 and a sum is −0 only if both
+terms are, so no accumulator ever holds −0, and x + (±0) = x for every
+other x.
+
+numpy is imported inside the function: importing the package stays as cheap
+as the pure-Python kernels.
+"""
+
+import cmath
+
+
+def circle_convolve(f_off, f_rows, g_rows, shifts, slots, n_slots):
+    """Sum over pairs (l, k) of rotate(f_k, shifts[l]) · g_l into rows.
+
+    f_rows: K dense coefficient lists of one width n, mode f_off first.
+    g_rows: L dense coefficient lists of one width m.
+    shifts: L floats, the rotation of the left factor in pair (l, k).
+    slots: K·L output row indices, pair (l, k) at l·K + k; rows receive
+      their pairs in this order.
+    Returns n_slots lists of n + m − 1 complex coefficients, the first at
+    mode f_off + (g's first mode).
+    """
+    import numpy as np
+
+    f = np.array(f_rows, dtype=complex)
+    g = np.array(g_rows, dtype=complex)
+    (k_count, n), (l_count, m) = f.shape, g.shape
+    width = n + m - 1
+    phases = []
+    for t in shifts:
+        tau = 2.0 * cmath.pi * t
+        phases.append([cmath.exp(1j * tau * k)
+                       for k in range(f_off, f_off + n)])
+    # pairs p = l·K + k run along the last, contiguous axis
+    e = np.array(phases, dtype=complex).T[:, :, None]  # (n, L, 1)
+    f = f.T[:, None, :]  # (n, 1, K)
+    ar = (f.real * e.real - f.imag * e.imag).reshape(n, -1)  # (n, P)
+    ai = (f.real * e.imag + f.imag * e.real).reshape(n, -1)
+    gt = np.repeat(g.T, k_count, axis=1)  # (m, P)
+    # u·v = ur·(vr, vi) + ui·(−vi, vr); x − y and x + (−y) are the same sum
+    v_re = np.stack((gt.real, gt.imag))  # (2, m, P)
+    v_im = np.stack((-gt.imag, gt.real))
+    prod = np.zeros((2, width, l_count * k_count))
+    for i in range(n):
+        prod[:, i:i + m] += ar[i] * v_re + ai[i] * v_im
+
+    # round r adds every row's r-th pair, so each row sums in pair order
+    rounds = []
+    seen = [0] * n_slots
+    for p, row in enumerate(slots):
+        r = seen[row]
+        seen[row] += 1
+        if r == len(rounds):
+            rounds.append(([], []))
+        rounds[r][0].append(p)
+        rounds[r][1].append(row)
+    out = np.zeros((2, width, n_slots))
+    for pairs, rows in rounds:
+        out[..., rows] += prod[..., pairs]
+    result = np.empty((n_slots, width), dtype=complex)
+    result.real, result.imag = out.transpose(0, 2, 1)
+    return result.tolist()

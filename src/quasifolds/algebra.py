@@ -10,6 +10,11 @@ Two independent product routes are provided:
   (f·g)_r(x) = Σ_s f_{r−s}(x+s) g_s(x)           on the line,
   (f·g)_τ(z) = Σ_σ f_{τ−σ}(z+σ) g_σ(z)           on the circle.
 
+On the circle the closed form runs every key pair through one batched numpy
+kernel (`_kernels.circle_convolve`), bitwise equal to the per-pair sum;
+convolve_general multiplies pair by pair through the pure-Python kernels, so
+the two routes share no product code.
+
 The involution is (f*)_{−r}(x) = conj(f_r(x − r)).
 
 For the circle over rational translations, ``matrix_representation`` maps an
@@ -23,6 +28,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._kernels import circle_convolve
 from .coefficients import PiecewisePoly, TrigPoly
 from .errors import (MixedCoefficientKindError, QuasifoldError,
                      SupportEscapesSubgroupError)
@@ -250,9 +256,17 @@ def convolve_general(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
 
 
 def convolve_closed_form(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    """Convolution via index arithmetic: (f·g)_r = Σ_s f_{r−s}(· + s) g_s."""
+    """Convolution via index arithmetic: (f·g)_r = Σ_s f_{r−s}(· + s) g_s.
+
+    On the circle all key pairs go through one batched kernel call,
+    `_kernels.circle_convolve`, whose modes are bitwise those of the
+    per-pair sum Σ key_shift(f_a, s)·g_s in (s outer, a inner) order.  On
+    the line each pair is one `PiecewisePoly` product.
+    """
     f._require_same_model(g)
     model = f.model
+    if model.kind == "circle":
+        return _circle_product(f, g)
     renormalise = model.renormalise
     out = {}
     for s, cs in g.support:
@@ -261,6 +275,37 @@ def convolve_closed_form(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement
             term = model.key_shift(ca, s) * cs
             out[key] = out[key] + term if key in out else term
     return _closed(model, out)
+
+
+def _circle_product(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
+    model = f.model
+    if not f.support or not g.support:
+        return _closed(model, {})
+    slots = {}
+    pair_slots = [slots.setdefault(model.renormalise(a + s), len(slots))
+                  for s, _ in g.support for a, _ in f.support]
+    f_off, f_rows = _common_dense([c for _, c in f.support])
+    g_off, g_rows = _common_dense([c for _, c in g.support])
+    to_float = default_witness().to_float
+    rows = circle_convolve(f_off, f_rows, g_rows,
+                           [to_float(s) for s, _ in g.support],
+                           pair_slots, len(slots))
+    off = f_off + g_off
+    return _closed(model, {key: TrigPoly._from_dense(off, row)
+                           for key, row in zip(slots, rows)})
+
+
+def _common_dense(polys) -> tuple:
+    """(first mode, rows): the nonzero polys' coefficients on one mode range."""
+    lo = min(p.modes[0][0] for p in polys)
+    width = max(p.modes[-1][0] for p in polys) - lo + 1
+    rows = []
+    for p in polys:
+        row = [0j] * width
+        for k, c in p.modes:
+            row[k - lo] = c
+        rows.append(row)
+    return lo, rows
 
 
 def involute(f: AlgebraElement) -> AlgebraElement:

@@ -179,9 +179,14 @@ class _Coset:
 
     def _contains_vec(self, d) -> Optional[bool]:
         if self.rational_full:
-            if self.gens:
-                return None  # mixed case: no certificate
-            return all(v.is_rational for v in d)
+            # d ∈ ℚᵐ + ℤ-span(gens) iff d's α-part is in the ℤ-span of the
+            # generators' α-parts: taking α-parts is ℤ-linear with kernel ℚᵐ
+            gens = tuple(g for g in map(_alpha_part, self.gens)
+                         if not all(v.is_zero for v in g))
+            if not gens:
+                return all(v.is_rational for v in d)
+            return TranslationLattice(gens).contains_value(
+                _alpha_part(d)) is Trit.TRUE
         if not self.gens:
             return all(v.is_zero for v in d)
         status = TranslationLattice(self.gens).contains_value(d)
@@ -199,6 +204,10 @@ class _Coset:
                   for i in range(m.n))
             for vec in self.gens)
         return _Coset(chart, m.apply(self.base), gens, self.rational_full)
+
+
+def _alpha_part(vec) -> tuple:
+    return tuple(QAlpha(0, v.q) for v in vec)
 
 
 def _saturate(coset: _Coset, group: GroupPresentation) -> list:

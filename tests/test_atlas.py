@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasifolds.atlas import (Atlas, Chart, CircleArrow, Interval,
+from quasifolds.atlas import (Atlas, Chart, CircleArrow, Interval, _Coset,
                               QuasifoldPointHandle, StructureGroupoid,
                               Transition, build_groupoid, circle_arrow_compose,
                               phi_arrow, phi_object)
@@ -19,7 +19,7 @@ from quasifolds.errors import (InconsistentTransitionError, NotComposableError,
 from quasifolds.exact import AffineElement, Trit, qa
 from quasifolds.groupoid import Arrow, NebulaPoint, arrow_compose
 from quasifolds.groups import (FiniteMatrixGroup, GeneratedGroup,
-                               TranslationLattice)
+                               RationalTranslations, TranslationLattice)
 
 
 def pt(x, chart="main"):
@@ -206,6 +206,38 @@ class TestRationalQuotient:
             is Trit.TRUE
         assert g.same_point(x, NebulaPoint("main", (qa(0, 1),)), 3) \
             is Trit.FALSE
+
+
+class TestMixedRationalLatticeCoset:
+    """A coset ℚᵐ + ℤ-span(gens) contains d exactly when d's α-part lies in
+    the ℤ-span of the generators' α-parts."""
+
+    def setup_method(self):
+        atlas = Atlas((Chart("q", RationalTranslations(1)),
+                       Chart("z", TranslationLattice(((qa(1),),)))),
+                      (Transition("z", "q", AffineElement.identity(1)),))
+        self.g = build_groupoid(atlas)
+
+    def test_irrational_offsets_are_certified_false(self):
+        for v, w in ((pt(qa(0), "z"), pt(qa(0, 1), "z")),
+                     (pt(qa(0), "q"), pt(qa(0, 1), "q")),
+                     (pt(qa(0), "z"), pt(qa(3, 1), "q"))):
+            assert self.g.same_point(v, w, 2) is Trit.FALSE
+
+    def test_reachable_points_are_never_false(self):
+        assert self.g.same_point(pt(qa(0), "z"), pt(qa(Fraction(1, 2)), "z"),
+                                 2) is Trit.TRUE
+        # reachable through ℚ, but not within bound 2
+        assert self.g.same_point(pt(qa(0, 1), "z"),
+                                 pt(qa(Fraction(1, 3), 1), "q"), 2) \
+            is Trit.UNKNOWN
+
+    def test_generators_with_alpha_parts(self):
+        coset = _Coset("q", (qa(0),), ((qa(1, 1),), (qa(0, 2),)), True)
+        assert coset.contains_point((qa(Fraction(1, 2), 1),)) is True
+        assert coset.contains_point((qa(Fraction(-5, 3), 3),)) is True
+        assert coset.contains_point((qa(7),)) is True
+        assert coset.contains_point((qa(0, Fraction(1, 2)),)) is False
 
 
 coeff = st.integers(min_value=-3, max_value=3)
