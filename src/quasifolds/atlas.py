@@ -311,13 +311,22 @@ class StructureGroupoid:
     def _states_from(self, v: NebulaPoint, bound: int):
         """Deterministic BFS over (chart, affine word map) pairs starting at v.
         Words alternate a full group layer (elements enumerated within bound)
-        with single transition letters, up to `bound` transitions."""
+        with single transition letters, up to `bound` transitions.
+
+        Returns (chart, map, base) triples in discovery order, where base is
+        the word the state's group layer was built on: the first layer that
+        produced the state.  The states of one layer differ by elements of
+        that chart's group, so their points lie in one group orbit."""
+        base_of = {}  # id of each yielded state -> base of its layer
+
         def group_layer(chart_id, m):
             chart = self.atlas.chart(chart_id)
             for g in chart.group.enumerate(bound):
                 m2 = g.compose(m)
                 if chart.contains(m2.apply(v.coords)):
-                    yield chart_id, m2
+                    state = (chart_id, m2)
+                    base_of[id(state)] = m
+                    yield state
 
         def step(state):
             chart_id, m = state
@@ -329,29 +338,49 @@ class StructureGroupoid:
                     yield from group_layer(dst, tmap.compose(m))
 
         start = group_layer(v.chart, AffineElement.identity(len(v.coords)))
-        return breadth_first(start, step, bound)[0]
+        states = breadth_first(start, step, bound)[0]
+        # breadth_first keeps the first yielded object of each state alive to
+        # here, so no later yield can have reused its id
+        return [(*state, base_of[id(state)]) for state in states]
 
     def arrows_from(self, v: NebulaPoint, bound: int) -> tuple:
         self.require_point(v)
         return tuple(Arrow(v, m, chart_id)
-                     for chart_id, m in self._states_from(v, bound))
+                     for chart_id, m, _ in self._states_from(v, bound))
 
     def fiber_over(self, v: NebulaPoint, bound: int) -> tuple:
         """All arrows with target v and word length within bound."""
         return tuple(arrow_invert(a) for a in self.arrows_from(v, bound))
 
     def arrows_between(self, v: NebulaPoint, w: NebulaPoint, bound: int) -> tuple:
-        """Arrows v → w within bound; empty is not a nonexistence certificate."""
+        """Arrows v → w within bound, each once, in the order the word search
+        finds them; empty is not a nonexistence certificate.
+
+        An arrow into a chart is fixed by its linear part A: it is
+        x ↦ A(x − v) + w.  When w's chart group is a translation presentation
+        every witness is a translation, so a state whose linear part already
+        gave an arrow can only give that arrow again, and its orbit decision
+        is skipped.  A certified FALSE holds for the whole group orbit, so it
+        settles every other state of the same group layer too.  Other group
+        kinds decide every state."""
         self.require_point(v)
         self.require_point(w)
         group = self.atlas.chart(w.chart).group
+        translations = isinstance(group, (TranslationLattice,
+                                          RationalTranslations))
         maps = {}  # word maps v → w, each once, in discovery order
-        for chart_id, m in self._states_from(v, bound):
+        linear_done, layers_false = set(), set()
+        for chart_id, m, base in self._states_from(v, bound):
             if chart_id != w.chart:
+                continue
+            if translations and (m.a in linear_done or base in layers_false):
                 continue
             g, status = group.orbit_status(m.apply(v.coords), w.coords, bound)
             if status is Trit.TRUE:
                 maps.setdefault(g.compose(m))
+                linear_done.add(m.a)
+            elif status is Trit.FALSE:
+                layers_false.add(base)
         return tuple(Arrow(v, full, w.chart) for full in maps)
 
     # -- three-valued point equality --
@@ -381,6 +410,11 @@ class StructureGroupoid:
             return Trit.TRUE
         if self.arrows_between(v, w, bound):
             return Trit.TRUE
+        return self._coset_status(v, w)
+
+    def _coset_status(self, v: NebulaPoint, w: NebulaPoint) -> Trit:
+        """Verdict for a pair the word search did not connect: FALSE when the
+        reachable cosets certify that w is not in v's orbit, else UNKNOWN."""
         cosets = self._reachable_cosets(v)
         if cosets is None:
             return Trit.UNKNOWN

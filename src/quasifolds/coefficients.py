@@ -13,6 +13,7 @@ Taylor shift happens.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +32,8 @@ class TrigPoly:
 
     def __post_init__(self):
         cleaned = tuple(sorted((int(k), complex(c)) for k, c in self.modes if c != 0))
+        if not all(cmath.isfinite(c) for _, c in cleaned):
+            raise QuasifoldError("TrigPoly coefficients must be finite")
         object.__setattr__(self, "modes", cleaned)
 
     @staticmethod
@@ -148,6 +151,8 @@ class PiecewisePoly:
             raise QuasifoldError("need one piece per breakpoint gap")
         if not bps and pcs:
             raise QuasifoldError("pieces without breakpoints")
+        if not all(cmath.isfinite(c) for p in pcs for c in p):
+            raise QuasifoldError("PiecewisePoly coefficients must be finite")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", pcs)
 

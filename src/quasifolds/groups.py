@@ -47,7 +47,8 @@ def breadth_first(start, step, depth: int):
     by round, and inside a round in the order `step` yields them.  `closed`
     is true when a round found nothing new, so `states` is closed under
     `step`; false means the search ended at its bound.  States must be
-    hashable; equal states count as one.
+    hashable; equal states count as one, and the object returned for a state
+    is the first one yielded.
     """
     out, seen = [], set()
     for state in start:

@@ -291,8 +291,7 @@ def lift_diffeo(bi: BiAtlas, r: Sequence[QAlpha], r_prime: Sequence[QAlpha],
         if not vec_eq(lift.apply(r), r_prime):
             raise QuasifoldError("lift failed to hit the prescribed endpoint")
         return lift
-    status = groupoid.same_point(image, target, bound)
-    if status is Trit.FALSE:
+    if groupoid._coset_status(image, target) is Trit.FALSE:
         raise FibersIncompatibleError(
             f"{target} is not in the fiber of {image}")
     raise InconclusiveAtBoundError(

@@ -11,7 +11,8 @@ from quasifolds.atlas import (Atlas, Chart, CircleArrow, Interval, _Coset,
                               QuasifoldPointHandle, StructureGroupoid,
                               Transition, build_groupoid, circle_arrow_compose,
                               phi_arrow, phi_object)
-from quasifolds.catalog import (get_atlas, rational_quotient_atlas,
+from quasifolds.catalog import (get_atlas, get_biatlas,
+                                rational_quotient_atlas,
                                 reflection_orbifold_atlas, t_alpha_atlas,
                                 t_alpha_duplicated_atlas, z_alpha_lattice)
 from quasifolds.errors import (InconsistentTransitionError, NotComposableError,
@@ -148,6 +149,137 @@ class TestDuplicatedAtlas:
         assert len(arrows) == 250
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
             "becf2d9a5e743389"
+
+
+def per_state_arrows(g, v, w, bound):
+    """arrows_between with one orbit decision per search state: the oracle
+    for the decisions it skips."""
+    group = g.atlas.chart(w.chart).group
+    maps = {}
+    for chart_id, m, _ in g._states_from(v, bound):
+        if chart_id != w.chart:
+            continue
+        gamma, status = group.orbit_status(m.apply(v.coords), w.coords, bound)
+        if status is Trit.TRUE:
+            maps.setdefault(gamma.compose(m))
+    return tuple(Arrow(v, full, w.chart) for full in maps)
+
+
+def reflected_torus_atlas():
+    # x ↦ −x normalises Z+αZ: words mix two linear parts and many layers
+    flip = AffineElement.linear(((Fraction(-1),),))
+    return Atlas((Chart("main", z_alpha_lattice()),),
+                 (Transition("main", "main", flip),))
+
+
+def _oracle_cases():
+    # (name, groupoid, source, targets): the targets give connected,
+    # certified-disconnected and, where the group admits them, beyond-bound
+    # pairs
+    half = Fraction(1, 2)
+    duplicated, two_scale = get_biatlas("duplicated"), get_biatlas("two-scale")
+    torus = [pt(qa(2, 3)), pt(qa(1, -1)), pt(qa(0, half)),
+             pt(qa(Fraction(1, 5))), pt(qa(30, 30))]
+    return [
+        ("t-alpha", build_groupoid(t_alpha_atlas()), pt(qa(0)), torus),
+        ("t-alpha-duplicated", build_groupoid(t_alpha_duplicated_atlas()),
+         pt(qa(0), "a"),
+         [pt(qa(1, 1), "b"), pt(qa(-1, 2), "a"), pt(qa(0, half), "b"),
+          pt(qa(30), "b")]),
+        ("reflection-orbifold", build_groupoid(reflection_orbifold_atlas()),
+         pt(qa(1), "fold"),
+         [pt(qa(-1), "fold"), pt(qa(1), "away"), pt(qa(2), "fold"),
+          pt(qa(Fraction(5, 2)), "away")]),
+        ("rational-quotient", build_groupoid(rational_quotient_atlas()),
+         pt(qa(0)), [pt(qa(half)), pt(qa(0, 1)), pt(qa(Fraction(7, 5)))]),
+        ("reflected-torus", build_groupoid(reflected_torus_atlas()),
+         pt(qa(half)), [pt(qa(Fraction(-1, 2), 1)), pt(qa(Fraction(5, 2))),
+                        pt(qa(0, half)), pt(qa(Fraction(61, 2), 30))]),
+        ("duplicated-left", duplicated.left_groupoid(), pt(qa(0)), torus),
+        ("duplicated-right", duplicated.right_groupoid(), pt(qa(0)), torus),
+        ("two-scale-left", two_scale.left_groupoid(), pt(qa(0)), torus),
+        ("two-scale-right", two_scale.right_groupoid(), pt(qa(0), "half"),
+         [pt(qa(half, 1), "half"), pt(qa(0, Fraction(1, 3)), "half"),
+          pt(qa(15), "half")]),
+    ]
+
+
+class TestArrowsBetweenMatchesPerStateSearch:
+    @pytest.mark.parametrize("bound", [0, 1, 2, 3])
+    def test_same_arrows_in_the_same_order(self, bound):
+        for name, g, v, targets in _oracle_cases():
+            for w in targets:
+                assert g.arrows_between(v, w, bound) == \
+                    per_state_arrows(g, v, w, bound), (name, str(w), bound)
+
+    def test_cases_cover_every_verdict(self):
+        for name, g, v, targets in _oracle_cases():
+            verdicts = {g.same_point(v, w, 2) for w in targets}
+            want = {Trit.TRUE, Trit.FALSE}
+            if not isinstance(g.atlas.charts[0].group, FiniteMatrixGroup):
+                want.add(Trit.UNKNOWN)
+            assert verdicts == want, name
+
+
+class TestOrbitDecisionCount:
+    """A translation chart decides once per linear part and once per
+    certified-FALSE group layer; other group kinds decide every state."""
+
+    def _count(self, monkeypatch, g, v, w, bound):
+        calls = []
+        kind = type(g.atlas.chart(w.chart).group)
+        original = kind.orbit_status
+
+        def counting(self, x, y, b):
+            calls.append(x)
+            return original(self, x, y, b)
+
+        monkeypatch.setattr(kind, "orbit_status", counting)
+        arrows = g.arrows_between(v, w, bound)
+        monkeypatch.undo()
+        return arrows, len(calls)
+
+    def _layers(self, g, v, w, bound):
+        return {base for chart_id, _, base in g._states_from(v, bound)
+                if chart_id == w.chart}
+
+    def test_connected_pair_decides_once(self, monkeypatch):
+        g = build_groupoid(t_alpha_atlas())
+        v = pt(qa(0))
+        assert len(g._states_from(v, 3)) == 49
+        arrows, decisions = self._count(monkeypatch, g, v, pt(qa(2, 3)), 3)
+        assert len(arrows) == 1 and decisions == 1
+
+    def test_connected_pair_decides_once_per_linear_part(self, monkeypatch):
+        g = build_groupoid(reflected_torus_atlas())
+        arrows, decisions = self._count(monkeypatch, g, pt(qa(Fraction(1, 2))),
+                                        pt(qa(Fraction(3, 2))), 2)
+        assert [a.map.a[0][0] for a in arrows] == [1, -1]
+        assert decisions == 2
+
+    @pytest.mark.parametrize("atlas, v, w", [
+        (t_alpha_atlas, pt(qa(0)), pt(qa(0, Fraction(1, 2)))),
+        (t_alpha_duplicated_atlas, pt(qa(0), "a"),
+         pt(qa(0, Fraction(1, 2)), "b")),
+        (reflected_torus_atlas, pt(qa(Fraction(1, 2))),
+         pt(qa(0, Fraction(1, 3)))),
+    ])
+    def test_disconnected_pair_decides_once_per_layer(self, monkeypatch,
+                                                      atlas, v, w):
+        g = build_groupoid(atlas())
+        for bound in (1, 3):
+            arrows, decisions = self._count(monkeypatch, g, v, w, bound)
+            assert arrows == ()
+            assert decisions == len(self._layers(g, v, w, bound))
+        assert g.same_point(v, w, 1) is Trit.FALSE
+
+    @pytest.mark.parametrize("w", [pt(qa(-1), "fold"), pt(qa(2), "fold")])
+    def test_finite_group_decides_every_state(self, monkeypatch, w):
+        g = build_groupoid(reflection_orbifold_atlas())
+        v = pt(qa(1), "fold")
+        _, decisions = self._count(monkeypatch, g, v, w, 2)
+        assert decisions == sum(chart_id == w.chart
+                                for chart_id, _, _ in g._states_from(v, 2))
 
 
 class TestUncertifiableSamePoint:

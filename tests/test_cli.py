@@ -171,17 +171,33 @@ class TestDeterminism:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
-    @pytest.mark.parametrize("argv, digest", [
+    @pytest.mark.parametrize("argv, digest, exit_code", [
         (("groupoid", "--atlas", "t-alpha-duplicated", "--bound", "2"),
-         "d3ad6736cf2b38699a9719bdd2e09956f8f576187648a44256d5f14fbb669e10"),
+         "d3ad6736cf2b38699a9719bdd2e09956f8f576187648a44256d5f14fbb669e10",
+         EXIT_PASS),
         (("groupoid", "--atlas", "reflection-orbifold", "--point", "away:1",
           "--bound", "2"),
-         "58275e13fad955caa6cc5b5fe267a31e933a0303b009f7c05018216caae6045c"),
+         "58275e13fad955caa6cc5b5fe267a31e933a0303b009f7c05018216caae6045c",
+         EXIT_PASS),
+        (("morita", "--biatlas", "two-scale", "--word-length", "1"),
+         "cb4bd894a8612be21a809eb9053b09c612ccff23a454f9e936d77fc8288fa2ad",
+         EXIT_PASS),
+        (("morita", "--biatlas", "duplicated", "--word-length", "2"),
+         "8dbb6fa5138ba5caa750f89ac55307e629499ecbc28c475d0ea95aeb21a56733",
+         EXIT_PASS),
+        (("lift", "construct", "--biatlas", "two-scale", "--r", "1/3+α",
+          "--rp", "2/3+α*2"),
+         "c085f4161e1fbc8c859f1c3a44db2fd8d9b449e2ae870f3be0b12fd6296ae42c",
+         EXIT_PASS),
+        (("lift", "construct", "--biatlas", "two-scale", "--r", "1/3+α",
+          "--rp", "4/3+α*2"),
+         "d6c52ab514799c8e817f84ab017cad12b8675ad92a1276393afede508b04b656",
+         EXIT_FAIL),
     ])
-    def test_stdout_bytes_are_pinned(self, capsys, argv, digest):
+    def test_stdout_bytes_are_pinned(self, capsys, argv, digest, exit_code):
         # word discovery order and report bytes, pinned across code changes
         code, out, _ = run(capsys, *argv)
-        assert code == EXIT_PASS
+        assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_seed_changes_corpus_not_validity(self, capsys):

@@ -107,6 +107,15 @@ class TestTrigPolyOperations:
         f = trig({3: 1 - 2j, -1: 0.125})
         assert TrigPoly.from_json(f.to_json()) == f
 
+    @pytest.mark.parametrize("c", [complex("inf"), complex(0, float("nan")),
+                                   complex(float("-inf"), 1.0)])
+    def test_non_finite_coefficients_rejected(self, c):
+        with pytest.raises(QuasifoldError):
+            TrigPoly(((0, c),))
+        with pytest.raises(QuasifoldError):
+            TrigPoly.from_json({"kind": "trig",
+                                "modes": {"2": [c.real, c.imag]}})
+
 
 class TestPiecewisePolyBasics:
     def test_shape_validation(self):
@@ -229,3 +238,15 @@ class TestPiecewisePolyMetrics:
     def test_json_round_trip(self):
         f = PiecewisePoly((qa(0, 1), qa(Fraction(3, 2))), ((1 + 1j, 0.5),))
         assert PiecewisePoly.from_json(f.to_json()) == f
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"),
+                                   complex(1.0, float("-inf"))])
+    def test_non_finite_coefficients_rejected(self, c):
+        with pytest.raises(QuasifoldError):
+            PiecewisePoly((qa(0), qa(1)), ((c,),))
+        with pytest.raises(QuasifoldError):
+            PiecewisePoly((qa(0), qa(1), qa(2)), ((1.0,), (0.5, c)))
+        with pytest.raises(QuasifoldError):
+            PiecewisePoly.from_json(
+                {"kind": "piecewise", "breakpoints": ["0", "1"],
+                 "pieces": [[[complex(c).real, complex(c).imag]]]})

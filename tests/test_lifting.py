@@ -230,6 +230,24 @@ class TestLiftDiffeo:
         lift = lift_diffeo(bi, (qa(0),), (qa(5, 5),), bound=5)
         assert lift.apply((qa(0),)) == (qa(5, 5),)
 
+    @pytest.mark.parametrize("rp, error", [
+        (qa(Fraction(1, 2)), FibersIncompatibleError),
+        (qa(5, 5), InconclusiveAtBoundError)])
+    def test_failure_path_searches_words_once(self, monkeypatch, rp, error):
+        bi = duplicated_biatlas()
+        groupoid = bi.right_groupoid()
+        searches = []
+        search = groupoid.arrows_between
+
+        def counting(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(groupoid, "arrows_between", counting)
+        with pytest.raises(error):
+            lift_diffeo(bi, (qa(0),), (rp,), bound=2)
+        assert len(searches) == 1
+
 
 class TestFlipMap:
     def test_zero_and_outside(self):
