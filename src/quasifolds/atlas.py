@@ -20,6 +20,7 @@ point sets, so the walk deduplicates them like any other state.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -177,25 +178,22 @@ class _Coset:
     def __hash__(self) -> int:
         return hash((self.chart, self.rational_full, frozenset(self.gens)))
 
-    def _contains_vec(self, d) -> Optional[bool]:
-        if self.rational_full:
-            # d ∈ ℚᵐ + ℤ-span(gens) iff d's α-part is in the ℤ-span of the
-            # generators' α-parts: taking α-parts is ℤ-linear with kernel ℚᵐ
-            gens = tuple(g for g in map(_alpha_part, self.gens)
-                         if not all(v.is_zero for v in g))
-            if not gens:
-                return all(v.is_rational for v in d)
-            return TranslationLattice(gens).contains_value(
-                _alpha_part(d)) is Trit.TRUE
-        if not self.gens:
-            return all(v.is_zero for v in d)
-        status = TranslationLattice(self.gens).contains_value(d)
-        if status is Trit.UNKNOWN:
-            return None
-        return status is Trit.TRUE
+    @functools.cached_property
+    def _lattice(self) -> Optional[TranslationLattice]:
+        """The lattice of the generators (None for {0}), or of their α-parts
+        when rational_full: taking α-parts is Z-linear with kernel Qᵐ, so d
+        is in Qᵐ + Z-span(gens) iff its α-part is in the α-parts' Z-span."""
+        gens = map(_alpha_part, self.gens) if self.rational_full else self.gens
+        gens = tuple(g for g in gens if not all(v.is_zero for v in g))
+        return TranslationLattice(gens) if gens else None
 
-    def contains_point(self, coords) -> Optional[bool]:
-        return self._contains_vec(tuple(b - a for a, b in zip(self.base, coords)))
+    def contains_point(self, coords) -> bool:
+        d = tuple(b - a for a, b in zip(self.base, coords))
+        if self.rational_full:
+            d = _alpha_part(d)
+        if self._lattice is None:
+            return all(v.is_zero for v in d)
+        return self._lattice.contains_value(d) is Trit.TRUE
 
     def moved(self, chart: str, m: AffineElement) -> "_Coset":
         """Image of the coset under the affine map m, placed in `chart`."""
@@ -243,8 +241,9 @@ class QuasifoldPointHandle:
     def same_as(self, other: "QuasifoldPointHandle", bound: Optional[int] = None) -> Trit:
         if self.groupoid is not other.groupoid:
             raise QuasifoldError("handles from different groupoids")
-        return self.groupoid.same_point(self.point, other.point,
-                                        bound or self.default_bound)
+        if bound is None:
+            bound = self.default_bound
+        return self.groupoid.same_point(self.point, other.point, bound)
 
     def __str__(self):
         return f"[{self.point}]"
@@ -418,10 +417,7 @@ class StructureGroupoid:
         cosets = self._reachable_cosets(v)
         if cosets is None:
             return Trit.UNKNOWN
-        verdicts = [c.contains_point(w.coords) for c in cosets if c.chart == w.chart]
-        if any(x is None for x in verdicts):
-            return Trit.UNKNOWN
-        if any(verdicts):
+        if any(c.contains_point(w.coords) for c in cosets if c.chart == w.chart):
             return Trit.UNKNOWN  # reachable, but not within this bound
         return Trit.FALSE
 

@@ -225,34 +225,42 @@ def parse_point(text: str, atlas) -> NebulaPoint:
     if chart not in charts:
         raise UsageError(f"unknown chart {chart!r} in point {text!r} "
                          f"(charts: {charts})")
-    try:
-        vec = tuple(QAlpha.parse(c) for c in coords.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad point coordinates {coords!r}: {exc}")
-    if len(vec) != atlas.dimension:
-        raise UsageError(f"point {text!r} needs {atlas.dimension} "
-                         f"coordinate(s), got {len(vec)}")
-    return NebulaPoint(chart, vec)
+    return NebulaPoint(chart, parse_vector(coords, atlas.dimension, "point"))
+
+
+def _int_at_least(low: int, what: str):
+    """argparse type for one integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected a {what} integer, got {text!r}")
+        return value
+    return parse
+
+
+positive_int = _int_at_least(1, "positive")
+nonnegative_int = _int_at_least(0, "nonnegative")
 
 
 def positive_int_list(text: str) -> list:
     """argparse type for comma-separated positive integers such as "1,2,3"."""
-    try:
-        values = [int(p) for p in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(
-            f"expected positive integers, got {text!r}")
-    return values
+    return [positive_int(p) for p in text.split(",")]
 
 
-def parse_vector(text: str) -> tuple:
+def parse_vector(text: str, dimension: int, what: str) -> tuple:
+    """Comma-separated Q+Qα coordinates, exactly `dimension` of them."""
     try:
-        return tuple(QAlpha.parse(c) for c in text.split(","))
+        vec = tuple(QAlpha.parse(c) for c in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"bad vector {text!r}: {exc}")
+        raise UsageError(f"bad {what} coordinates {text!r}: {exc}")
+    if len(vec) != dimension:
+        raise UsageError(f"{what} {text!r} needs {dimension} coordinate(s), "
+                         f"got {len(vec)}")
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +585,8 @@ def _lift_detect(args, cfg) -> dict:
         expect_pieces, expect_coverage = k, 1.0
         label = f"stitched-{k}"
     else:
-        gamma = parse_vector(args.gamma)[0] if args.gamma else qa(2, 3)
+        gamma = (parse_vector(args.gamma, 1, "--gamma")[0] if args.gamma
+                 else qa(2, 3))
         func = lambda s: (s[0] + gamma,)
         expect_pieces, expect_coverage = 1, 1.0
         label = "single-element"
@@ -623,8 +632,8 @@ def _lift_fit(args, cfg) -> dict:
 
 def _lift_construct(args, cfg) -> dict:
     bi = resolve_biatlas(args.biatlas)
-    r = parse_vector(args.r)
-    rp = parse_vector(args.rp)
+    r = parse_vector(args.r, bi.left.dimension, "--r")
+    rp = parse_vector(args.rp, bi.right.dimension, "--rp")
     try:
         result = lift.lift_diffeo(bi, r, rp, cfg["bound"])
         hit = result.apply(r) == rp
@@ -708,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rotation", parents=[common],
                        help="the rotation relation V·U = λ·U·V")
-    p.add_argument("--max-power", type=int, default=3)
+    p.add_argument("--max-power", type=positive_int, default=3)
     p.add_argument("--negate", action="store_true",
                    help="substitute α ↦ −α")
 
@@ -716,31 +725,31 @@ def build_parser() -> argparse.ArgumentParser:
                        help="matrix representation checks")
     p.add_argument("--p", default="1,2,3,4,6", type=positive_int_list,
                    help="comma-separated subgroup denominators")
-    p.add_argument("--pairs", type=int, default=50)
-    p.add_argument("--z-samples", type=int, default=20)
+    p.add_argument("--pairs", type=positive_int, default=50)
+    p.add_argument("--z-samples", type=positive_int, default=20)
 
     p = sub.add_parser("rq-algebra", parents=[common],
                        help="rational-circle algebra consistency")
-    p.add_argument("--denominator", type=int, default=6)
+    p.add_argument("--denominator", type=positive_int, default=6)
 
     p = sub.add_parser("morita", parents=[common],
                        help="equivalence bimodule axiom report")
     p.add_argument("--biatlas", required=True,
                    help="builtin bi-atlas name or JSON file")
-    p.add_argument("--word-length", type=int, default=1)
-    p.add_argument("--instance-cap", type=int, default=60)
+    p.add_argument("--word-length", type=nonnegative_int, default=1)
+    p.add_argument("--instance-cap", type=positive_int, default=60)
 
     p = sub.add_parser("lift", help="affine lifting laboratory")
     lsub = p.add_subparsers(dest="lift_command", required=True)
 
     q = lsub.add_parser("detect", parents=[common],
                         help="locally-affine piece detection")
-    q.add_argument("--stitch", type=int, default=0,
+    q.add_argument("--stitch", type=nonnegative_int, default=0,
                    help="number of stitched group elements")
     q.add_argument("--gamma", help="single translation, e.g. '2+α*3'")
     q.add_argument("--control", action="store_true",
                    help="use the non-absorbed control map")
-    q.add_argument("--samples", type=int, default=40)
+    q.add_argument("--samples", type=positive_int, default=40)
     q.add_argument("--group", choices=("zalpha", "rational"),
                    default="zalpha")
 
@@ -748,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="global affine reconstruction")
     q.add_argument("--kind", choices=("affine", "quadratic", "stitched"),
                    default="affine")
-    q.add_argument("--samples", type=int, default=50)
+    q.add_argument("--samples", type=positive_int, default=50)
 
     q = lsub.add_parser("construct", parents=[common],
                         help="prescribed-endpoint lift")
@@ -758,8 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = lsub.add_parser("flipdemo", parents=[common],
                         help="the non-liftable radial flip map")
-    q.add_argument("--n-max", type=int, default=6)
-    q.add_argument("--samples", type=int, default=100)
+    q.add_argument("--n-max", type=positive_int, default=6)
+    q.add_argument("--samples", type=positive_int, default=100)
 
     return parser
 

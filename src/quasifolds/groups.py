@@ -10,6 +10,11 @@ Orbit questions are answered with three-valued honesty: a witness within the
 bound, a certified "no element of the group works" (available for translation
 kinds via coefficient obstructions and for finite groups by completeness), or
 inconclusive-at-bound.
+
+A translation lattice keeps one Z-basis of its generators, computed on first
+use: B = U·G over the common denominator D.  Each membership query d is one
+solve of B·c = D·d: d is in the lattice iff c is integral, and Uᵀc are its
+coordinates when the generators are independent.
 """
 
 from __future__ import annotations
@@ -136,15 +141,17 @@ def _shell_tuples(k: int, bound: int):
 
 
 def _z_basis(vectors):
-    """Echelon Z-basis of the Z-span of integer vectors (small sizes)."""
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return []
-    m = len(rows[0])
+    """Echelon Z-basis of the Z-span of integer vectors, and the transform
+    recorded by an identity block carried beside them: basis row k is
+    Σ_i transform[k][i]·vectors[i].  Relations (zero rows) are dropped."""
+    k = len(vectors)
+    m = len(vectors[0]) if vectors else 0
+    rows = [list(v) + [int(i == j) for j in range(k)]
+            for i, v in enumerate(vectors)]
     pivot_row = 0
     for col in range(m):
         while True:
-            live = [i for i in range(pivot_row, len(rows)) if rows[i][col] != 0]
+            live = [i for i in range(pivot_row, k) if rows[i][col] != 0]
             if len(live) <= 1:
                 break
             live.sort(key=lambda i: abs(rows[i][col]))
@@ -152,14 +159,15 @@ def _z_basis(vectors):
             for i in live[1:]:
                 q = rows[i][col] // rows[base][col]
                 rows[i] = [a - q * b for a, b in zip(rows[i], rows[base])]
-        live = [i for i in range(pivot_row, len(rows)) if rows[i][col] != 0]
+        live = [i for i in range(pivot_row, k) if rows[i][col] != 0]
         if not live:
             continue
         rows[pivot_row], rows[live[0]] = rows[live[0]], rows[pivot_row]
         if rows[pivot_row][col] < 0:
             rows[pivot_row] = [-a for a in rows[pivot_row]]
         pivot_row += 1
-    return [tuple(r) for r in rows[:pivot_row]]
+    return ([tuple(r[:m]) for r in rows[:pivot_row]],
+            [tuple(r[m:]) for r in rows[:pivot_row]])
 
 
 @dataclass(frozen=True)
@@ -203,77 +211,61 @@ class TranslationLattice(GroupPresentation):
                 out.append(AffineElement.translation(vec))
         return tuple(out)
 
-    def _system(self, d: Sequence[QAlpha]):
-        """Σ_i c_i·g_i = d as integer equations in the c_i: (rows, rhs).
-
-        The p-part of each coordinate gives a row, then the q-part of each;
-        both rows of a coordinate are multiplied by the lcm of the
-        denominators in that coordinate.
-        """
-        p_rows, q_rows, p_rhs, q_rhs = [], [], [], []
-        for j, v in enumerate(d):
-            ts = [g[j].triple for g in self.generators]
-            a, b, dv = v.triple
-            den = math.lcm(dv, *[t[2] for t in ts])
-            p_rows.append([t[0] * (den // t[2]) for t in ts])
-            q_rows.append([t[1] * (den // t[2]) for t in ts])
-            p_rhs.append(a * (den // dv))
-            q_rhs.append(b * (den // dv))
-        return p_rows + q_rows, p_rhs + q_rhs
-
-    def _generator_vectors(self):
-        """Each generator as its (p-parts, q-parts) vector in Q^{2n}, times
-        the common denominator D of all generators: (D, integer vectors)."""
+    @functools.cached_property
+    def _basis(self):
+        """(D, B, U): G holds each generator's p-parts then q-parts times the
+        common denominator D; B is an echelon Z-basis of G's span, B = U·G."""
         ts = [[v.triple for v in g] for g in self.generators]
         den = math.lcm(*[t[2] for g in ts for t in g])
-        return den, [tuple(t[0] * (den // t[2]) for t in g)
-                     + tuple(t[1] * (den // t[2]) for t in g) for g in ts]
+        vectors = [tuple(t[0] * (den // t[2]) for t in g)
+                   + tuple(t[1] * (den // t[2]) for t in g) for g in ts]
+        return (den, *_z_basis(vectors))
 
-    @property
-    def is_dense(self) -> bool:
-        # dense (in the cases used here) iff Z-rank exceeds the dimension; a
-        # finitely generated subgroup of Q^m has Z-rank equal to its Q-rank
-        return len(_z_basis(self._generator_vectors()[1])) > self.dimension
-
-    def contains_value(self, d: Sequence[QAlpha]) -> Trit:
-        """Certified membership of d in the lattice, bound-independent."""
-        status, sol = solve_linear(*self._system(d))
-        if status == "none":
-            return Trit.FALSE
-        if status == "unique":
-            return Trit.TRUE if all(c.denominator == 1 for c in sol) else Trit.FALSE
-        # dependent generators: re-solve against an independent Z-basis B/D,
-        # as B·c = D·d with row k multiplied by the denominator of d's part k
-        den, vectors = self._generator_vectors()
-        basis = _z_basis(vectors)
+    def _basis_coordinates(self, d: Sequence[QAlpha]):
+        """The integers c with B·c = D·d (unique: B has independent rows), or
+        None when d is not in the lattice.  Row k of the one `solve_linear`
+        is multiplied by the denominator of d's part k."""
+        if len(d) != self.dimension:
+            raise DimensionMismatchError(f"{len(d)}-vector for a lattice in "
+                                         f"dimension {self.dimension}")
+        den, basis, _ = self._basis
         ts = [v.triple for v in d]
         nums = [t[0] for t in ts] + [t[1] for t in ts]
         dens = [t[2] for t in ts] * 2
         rows = [[b[k] * dens[k] for b in basis] for k in range(len(nums))]
         status, sol = solve_linear(rows, [den * x for x in nums])
-        if status == "none":
-            return Trit.FALSE
-        return Trit.TRUE if all(c.denominator == 1 for c in sol) else Trit.FALSE
+        if status == "none" or any(c.denominator != 1 for c in sol):
+            return None
+        return [int(c) for c in sol]
+
+    @property
+    def is_dense(self) -> bool:
+        # dense (in the cases used here) iff Z-rank exceeds the dimension; a
+        # finitely generated subgroup of Q^m has Z-rank equal to its Q-rank
+        return len(self._basis[1]) > self.dimension
+
+    def contains_value(self, d: Sequence[QAlpha]) -> Trit:
+        """Certified membership of d in the lattice, bound-independent."""
+        return Trit.FALSE if self._basis_coordinates(d) is None else Trit.TRUE
 
     def membership(self, d: Sequence[QAlpha], bound: int):
         """Decide d ∈ lattice with a witness inside the index bound:
         (integer coordinates or None, Trit).  FALSE is certified for the whole
         lattice; UNKNOWN means "in the lattice but not within bound" or
         "not found within bound"."""
+        sol = self._basis_coordinates(d)
+        if sol is None:
+            return None, Trit.FALSE
+        _, basis, transform = self._basis
         k = len(self.generators)
-        status, sol = solve_linear(*self._system(d))
-        if status == "none":
-            return None, Trit.FALSE
-        if status == "unique":
-            if any(c.denominator != 1 for c in sol):
-                return None, Trit.FALSE
-            ints = [int(c) for c in sol]
-            if max((abs(c) for c in ints), default=0) <= bound:
-                return ints, Trit.TRUE
+        if len(basis) == k:
+            # independent generators: Uᵀc are the unique coordinates
+            coords = [sum(c * u[i] for c, u in zip(sol, transform))
+                      for i in range(k)]
+            if max(abs(c) for c in coords) <= bound:
+                return coords, Trit.TRUE
             return None, Trit.UNKNOWN
-        # dependent generators: certified existence first, then bounded witness
-        if self.contains_value(tuple(d)) is Trit.FALSE:
-            return None, Trit.FALSE
+        # dependent generators: d is in the lattice; look for a witness
         target = tuple(d)
         for tup in _shell_tuples(k, min(bound, self.hard_cap)):
             if vec_eq(self._combination(tup), target):
@@ -282,9 +274,9 @@ class TranslationLattice(GroupPresentation):
 
     def orbit_status(self, x, y, bound: int):
         d = tuple(b - a for a, b in zip(x, y))
-        coords, status = self.membership(d, bound)
+        _, status = self.membership(d, bound)
         if status is Trit.TRUE:
-            return AffineElement.translation(self._combination(coords)), Trit.TRUE
+            return AffineElement.translation(d), Trit.TRUE  # d is the witness
         return None, status
 
 

@@ -122,6 +122,13 @@ class TestBoundedEquality:
         h2 = QuasifoldPointHandle(self.g, pt(qa(Fraction(1, 5))))
         assert h0.same_as(h2, 3) is Trit.FALSE
 
+    def test_handle_bound_zero_is_not_the_default(self):
+        h0 = QuasifoldPointHandle(self.g, pt(qa(0)))
+        h3 = QuasifoldPointHandle(self.g, pt(qa(3, 3)))
+        assert h0.same_as(h3, 0) is Trit.UNKNOWN
+        assert h0.same_as(h3, 0) is self.g.same_point(h0.point, h3.point, 0)
+        assert h0.same_as(h3) is Trit.TRUE  # default bound 3
+
 
 class TestDuplicatedAtlas:
     def test_cross_copy_equality_and_connections(self):

@@ -102,6 +102,36 @@ class TestBadInputIsRejectedAtParseTime:
     def test_non_integer_repr_denominators(self, capsys):
         self.assert_usage_error(*run(capsys, "repr", "--p", "a"))
 
+    @pytest.mark.parametrize("argv", [
+        ("morita", "--biatlas", "duplicated", "--word-length", "-1"),
+        ("morita", "--biatlas", "duplicated", "--instance-cap", "0"),
+        ("rotation", "--max-power", "-2"),
+        ("repr", "--pairs", "0"),
+        ("repr", "--z-samples", "0"),
+        ("repr", "--pairs", "x"),
+        ("rq-algebra", "--denominator", "0"),
+        ("lift", "detect", "--stitch", "-1"),
+        ("lift", "detect", "--samples", "0"),
+        ("lift", "fit", "--samples", "-3"),
+        ("lift", "flipdemo", "--samples", "0"),
+        ("lift", "flipdemo", "--n-max", "0"),
+    ])
+    def test_out_of_range_integer_flags(self, capsys, argv):
+        self.assert_usage_error(*run(capsys, *argv))
+
+    @pytest.mark.parametrize("argv, message", [
+        (("lift", "construct", "--biatlas", "duplicated", "--r", "0",
+          "--rp", "1,2"), "--rp '1,2' needs 1 coordinate(s), got 2"),
+        (("lift", "construct", "--biatlas", "duplicated", "--r", "0,0",
+          "--rp", "1"), "--r '0,0' needs 1 coordinate(s), got 2"),
+        (("lift", "detect", "--gamma", "1,2"),
+         "--gamma '1,2' needs 1 coordinate(s), got 2"),
+    ])
+    def test_vector_of_the_wrong_dimension(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        self.assert_usage_error(code, out, err)
+        assert message in err
+
     def test_non_integer_bound_in_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("QUASIFOLD_BOUND", "abc")
         self.assert_usage_error(*run(capsys, "rotation"))

@@ -1,11 +1,16 @@
 """Countable affine group presentations and their bounded enumeration."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quasifolds.errors import EnumerationCapError
-from quasifolds.exact import AffineElement, Trit, qa
+from quasifolds import groups
+from quasifolds.errors import DimensionMismatchError, EnumerationCapError
+from quasifolds.exact import AffineElement, QAlpha, Trit, qa, solve_linear
 from quasifolds.groups import (FiniteMatrixGroup, GeneratedGroup,
                                RationalTranslations, TranslationLattice,
                                enumerate_group, membership_status,
@@ -72,6 +77,156 @@ class TestTranslationLattice:
                                        for i in range(1)))
         with pytest.raises(EnumerationCapError):
             lat.enumerate(10 ** 9)
+
+
+# -- an oracle for lattice membership that shares no code with the basis --
+
+def _generator_system(gens, d):
+    """Σ_i c_i·g_i = d as rational equations in the c_i: the p-part of each
+    coordinate gives a row, then the q-part of each."""
+    n = len(d)
+    rows = ([[g[j].p for g in gens] for j in range(n)]
+            + [[g[j].q for g in gens] for j in range(n)])
+    return rows, [v.p for v in d] + [v.q for v in d]
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:]
+                                           for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _divisors(rows):
+    """(rank, gcd of the rank×rank minors) of an integer matrix."""
+    for r in range(min(len(rows), len(rows[0])), 0, -1):
+        minors = [_det([[rows[i][j] for j in cols] for i in sub])
+                  for sub in itertools.combinations(range(len(rows)), r)
+                  for cols in itertools.combinations(range(len(rows[0])), r)]
+        if any(minors):
+            return r, math.gcd(*minors)
+    return 0, 1
+
+
+def _as_integer_rows(vectors):
+    vecs = [[v.p for v in vec] + [v.q for v in vec] for vec in vectors]
+    den = math.lcm(*[x.denominator for vec in vecs for x in vec])
+    return [[int(x * den) for x in vec] for vec in vecs]
+
+
+def oracle_contains(gens, d) -> Trit:
+    """The generator system solved over Q; when the generators are dependent,
+    d is in the lattice iff adding it keeps the rank and the gcd of the
+    rank-size minors (the lattice index over that gcd is 1)."""
+    status, sol = solve_linear(*_generator_system(gens, d))
+    if status == "none":
+        return Trit.FALSE
+    if status == "unique":
+        return Trit.TRUE if all(c.denominator == 1 for c in sol) else Trit.FALSE
+    rows = _as_integer_rows(list(gens) + [d])
+    same = _divisors(rows[:-1]) == _divisors(rows)
+    return Trit.TRUE if same else Trit.FALSE
+
+
+def brute_force_witnesses(gens, d, bound):
+    """Every coefficient tuple within the bound that recombines to d."""
+    out = []
+    for tup in itertools.product(range(-bound, bound + 1), repeat=len(gens)):
+        vec = tuple(sum((g[j].scale(c) for c, g in zip(tup, gens)), QAlpha())
+                    for j in range(len(d)))
+        if vec == tuple(d):
+            out.append(list(tup))
+    return out
+
+
+_small = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+_value = st.builds(QAlpha, _small, _small)
+
+
+@st.composite
+def lattice_queries(draw):
+    n = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 4))
+    gens = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(("free", "free", "zero", "dependent")))
+        if kind == "zero":
+            gens.append(tuple(QAlpha() for _ in range(n)))
+        elif kind == "dependent" and gens:
+            # an integer or half-integer combination of earlier generators
+            cs = draw(st.lists(st.sampled_from((Fraction(1, 2), -1, 1, 2)),
+                               min_size=len(gens), max_size=len(gens)))
+            gens.append(tuple(sum((g[j].scale(c) for c, g in zip(cs, gens)),
+                                  QAlpha()) for j in range(n)))
+        else:
+            gens.append(tuple(draw(_value) for _ in range(n)))
+    # a lattice point, a point of the Q-span off the lattice (perhaps), a
+    # nudged lattice point, or any vector
+    cs = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+    mode = draw(st.sampled_from(("in", "fraction", "nudge", "any")))
+    if mode == "fraction":
+        cs[draw(st.integers(0, k - 1))] += draw(
+            st.sampled_from((Fraction(1, 2), Fraction(-1, 3))))
+    d = tuple(sum((g[j].scale(c) for c, g in zip(cs, gens)), QAlpha())
+              for j in range(n))
+    if mode == "nudge":
+        d = tuple(v + draw(_value) for v in d)
+    elif mode == "any":
+        d = tuple(draw(_value) for _ in range(n))
+    return tuple(gens), d, draw(st.integers(0, 2))
+
+
+class TestLatticeBasisAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_queries())
+    def test_contains_membership_and_density(self, case):
+        gens, d, bound = case
+        lat = TranslationLattice(gens)
+        expected = oracle_contains(gens, d)
+        assert lat.contains_value(d) is expected
+        assert lat.is_dense == (_divisors(_as_integer_rows(gens))[0]
+                                > len(d))
+        coords, status = lat.membership(d, bound)
+        if expected is Trit.FALSE:
+            assert (coords, status) == (None, Trit.FALSE)
+            return
+        witnesses = brute_force_witnesses(gens, d, bound)
+        if status is Trit.TRUE:
+            assert coords in witnesses
+        else:
+            assert (coords, status) == (None, Trit.UNKNOWN)
+            assert witnesses == []
+        status_q, sol = solve_linear(*_generator_system(gens, d))
+        if status_q == "unique":
+            # independent generators: the coordinates are the unique solution
+            assert (status is Trit.TRUE) == (max(map(abs, sol)) <= bound)
+        else:
+            assert (status is Trit.TRUE) == bool(witnesses)
+
+
+class TestLatticeBasisIsCached:
+    def test_one_basis_and_one_solve_per_query(self, monkeypatch):
+        solves, bases = [], []
+        solve, z_basis = groups.solve_linear, groups._z_basis
+        monkeypatch.setattr(groups, "solve_linear",
+                            lambda *a: solves.append(1) or solve(*a))
+        monkeypatch.setattr(groups, "_z_basis",
+                            lambda v: bases.append(1) or z_basis(v))
+        dep = TranslationLattice(((qa(2),), (qa(3),), (qa(0, 1),)))
+        assert dep.is_dense
+        assert (len(bases), len(solves)) == (1, 0)  # the basis needs no solve
+        for i, d in enumerate(((qa(1),), (qa(Fraction(1, 2)),), (qa(4, -1),))):
+            dep.contains_value(d)
+            assert len(solves) == 2 * i + 1
+            dep.membership(d, 2)
+            assert len(solves) == 2 * i + 2
+        dep.orbit_status((qa(0),), (qa(1, 1),), 2)
+        assert (len(bases), len(solves)) == (1, 7)
+
+    def test_dimension_is_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            zalpha().contains_value((qa(1), qa(0)))
 
 
 class TestRationalTranslations:
