@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernels import circle_convolve
-from .coefficients import PiecewisePoly, TrigPoly
+from .coefficients import PiecewisePoly, TrigPoly, dense_rows
 from .errors import (MixedCoefficientKindError, QuasifoldError,
                      SupportEscapesSubgroupError)
 from .exact import AffineElement, QAlpha, Trit, default_witness, qa
@@ -145,8 +145,7 @@ class AlgebraElement:
                     f"{self.model.kind} model needs "
                     f"{self.model.coefficient_type.__name__} coefficients, "
                     f"got {type(c).__name__}")
-            key = self.model.canonical_key(r)
-            entries[key] = entries[key] + c if key in entries else c
+            _add_term(entries, self.model.canonical_key(r), c)
         object.__setattr__(self, "support", _normal_support(entries))
 
     def keys(self):
@@ -172,7 +171,7 @@ class AlgebraElement:
         self._require_same_model(other)
         entries = dict(self.support)
         for k, c in other.support:
-            entries[k] = entries[k] + c if k in entries else c
+            _add_term(entries, k, c)
         return _closed(self.model, entries)
 
     def scale(self, s) -> "AlgebraElement":
@@ -220,6 +219,11 @@ def _normal_support(entries: dict) -> tuple:
                         key=_support_order))
 
 
+def _add_term(entries: dict, key, term) -> None:
+    """entries[key] += term, where a key's first term is stored as is."""
+    entries[key] = entries[key] + term if key in entries else term
+
+
 def _closed(model, entries: dict) -> AlgebraElement:
     """Element from {canonical key: coefficient}, with no membership check
     and no coefficient type check: the keys come from the model's group by
@@ -250,8 +254,7 @@ def convolve_general(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
             ts = AffineElement.translation((s,))
             composed = ta.compose(ts)
             key = model.canonical_key(composed.b[0])
-            term = model.key_shift(ca, s) * cs
-            out[key] = out[key] + term if key in out else term
+            _add_term(out, key, model.key_shift(ca, s) * cs)
     return AlgebraElement(model, tuple(out.items()))
 
 
@@ -271,9 +274,7 @@ def convolve_closed_form(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement
     out = {}
     for s, cs in g.support:
         for a, ca in f.support:
-            key = renormalise(a + s)
-            term = model.key_shift(ca, s) * cs
-            out[key] = out[key] + term if key in out else term
+            _add_term(out, renormalise(a + s), model.key_shift(ca, s) * cs)
     return _closed(model, out)
 
 
@@ -284,8 +285,8 @@ def _circle_product(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     slots = {}
     pair_slots = [slots.setdefault(model.renormalise(a + s), len(slots))
                   for s, _ in g.support for a, _ in f.support]
-    f_off, f_rows = _common_dense([c for _, c in f.support])
-    g_off, g_rows = _common_dense([c for _, c in g.support])
+    f_off, f_rows = dense_rows([c for _, c in f.support])
+    g_off, g_rows = dense_rows([c for _, c in g.support])
     to_float = default_witness().to_float
     rows = circle_convolve(f_off, f_rows, g_rows,
                            [to_float(s) for s, _ in g.support],
@@ -295,27 +296,12 @@ def _circle_product(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
                            for key, row in zip(slots, rows)})
 
 
-def _common_dense(polys) -> tuple:
-    """(first mode, rows): the nonzero polys' coefficients on one mode range."""
-    lo = min(p.modes[0][0] for p in polys)
-    width = max(p.modes[-1][0] for p in polys) - lo + 1
-    rows = []
-    for p in polys:
-        row = [0j] * width
-        for k, c in p.modes:
-            row[k - lo] = c
-        rows.append(row)
-    return lo, rows
-
-
 def involute(f: AlgebraElement) -> AlgebraElement:
     """Adjoint for counting-measure convolution: (f*)_{−r}(x) = conj(f_r(x−r))."""
     model = f.model
     out = {}
     for r, c in f.support:
-        key = model.renormalise(-r)
-        term = model.key_shift(c, -r).conjugate()
-        out[key] = out[key] + term if key in out else term
+        _add_term(out, model.renormalise(-r), model.key_shift(c, -r).conjugate())
     return _closed(model, out)
 
 

@@ -7,19 +7,22 @@ structure (numerically on the values).
 PiecewisePoly: compactly supported piecewise polynomials on R with exact
 Q+Qα breakpoints.  Piece coefficients are stored in local coordinates
 u = x − (left breakpoint), which makes translation exact in both breakpoints
-and coefficients; grid refinement (for add/mul) is the only place a numeric
+and coefficients.  A sum, product or distance aligns its two operands with
+one ordered walk through both breakpoint tuples (`PiecewisePoly._aligned`),
+O(n + m) steps and no sort; that grid refinement is the only place a numeric
 Taylor shift happens.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import _kernels as K
 from .errors import QuasifoldError
-from .exact import AlphaWitness, QAlpha, default_witness
+from .exact import QAlpha, _as_qalpha, default_witness
 
 __all__ = ["TrigPoly", "PiecewisePoly"]
 
@@ -31,7 +34,11 @@ class TrigPoly:
     modes: tuple = ()  # sorted ((k, complex), ...)
 
     def __post_init__(self):
-        cleaned = tuple(sorted((int(k), complex(c)) for k, c in self.modes if c != 0))
+        modes = {k if k.__class__ is int else _mode_index(k): complex(c)
+                 for k, c in self.modes}
+        if len(modes) != len(self.modes):
+            raise QuasifoldError("TrigPoly mode indices must be distinct")
+        cleaned = tuple(sorted((k, c) for k, c in modes.items() if c != 0))
         if not all(cmath.isfinite(c) for _, c in cleaned):
             raise QuasifoldError("TrigPoly coefficients must be finite")
         object.__setattr__(self, "modes", cleaned)
@@ -55,16 +62,6 @@ class TrigPoly:
     def is_zero(self) -> bool:
         return not self.modes
 
-    def _dense(self):
-        if not self.modes:
-            return 0, []
-        lo = self.modes[0][0]
-        hi = self.modes[-1][0]
-        arr = [0j] * (hi - lo + 1)
-        for k, c in self.modes:
-            arr[k - lo] = c
-        return lo, arr
-
     @staticmethod
     def _from_dense(off, arr) -> "TrigPoly":
         return _trig(tuple((off + i, c) for i, c in enumerate(arr) if c != 0))
@@ -78,8 +75,8 @@ class TrigPoly:
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
         if self.is_zero or other.is_zero:
             return TrigPoly()
-        oa, a = self._dense()
-        ob, b = other._dense()
+        oa, (a,) = dense_rows((self,))
+        ob, (b,) = dense_rows((other,))
         off, arr = K.trig_mul(oa, a, ob, b)
         return TrigPoly._from_dense(off, arr)
 
@@ -93,21 +90,19 @@ class TrigPoly:
 
     def rotate(self, t: float) -> "TrigPoly":
         """Precompose with rotation: x ↦ x + t (c_k picks up e^{2πikt})."""
-        off, arr = self._dense()
+        off, (arr,) = dense_rows((self,))
         return TrigPoly._from_dense(off, K.trig_rotate(off, arr, float(t)))
 
     def eval(self, x: float) -> complex:
-        off, arr = self._dense()
+        off, (arr,) = dense_rows((self,))
         return K.trig_eval(off, arr, float(x))
 
     def sup_bound(self) -> float:
         return sum(abs(c) for _, c in self.modes)
 
     def distance(self, other: "TrigPoly") -> float:
-        d = dict(self.modes)
-        for k, c in other.modes:
-            d[k] = d.get(k, 0j) - c
-        return max((abs(c) for c in d.values()), default=0.0)
+        _, (a, b) = dense_rows((self, other))
+        return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
 
     def allclose(self, other: "TrigPoly", tol: float) -> bool:
         return self.distance(other) <= tol
@@ -121,8 +116,36 @@ class TrigPoly:
 
     @staticmethod
     def from_json(obj) -> "TrigPoly":
-        return TrigPoly(tuple((int(k), complex(re, im))
+        return TrigPoly(tuple((k, complex(re, im))
                               for k, (re, im) in obj["modes"].items()))
+
+
+def _mode_index(k) -> int:
+    """k as an int: an integer, or the decimal string of one (JSON keys)."""
+    try:
+        return int(k) if isinstance(k, str) else operator.index(k)
+    except (TypeError, ValueError):
+        raise QuasifoldError(f"TrigPoly mode index {k!r} is not an integer") from None
+
+
+def dense_rows(polys) -> tuple:
+    """(first mode, rows): each TrigPoly's coefficients on one common mode
+    range, missing modes filled with 0j (empty rows if all polys are 0)."""
+    lo = hi = None
+    for p in polys:
+        if p.modes:
+            first, last = p.modes[0][0], p.modes[-1][0]
+            lo = first if lo is None else min(lo, first)
+            hi = last if hi is None else max(hi, last)
+    if lo is None:
+        return 0, [[] for _ in polys]
+    rows = []
+    for p in polys:
+        row = [0j] * (hi - lo + 1)
+        for k, c in p.modes:
+            row[k - lo] = c
+        rows.append(row)
+    return lo, rows
 
 
 def _trig(modes: tuple) -> TrigPoly:
@@ -139,18 +162,18 @@ class PiecewisePoly:
 
     pieces[i] holds complex coefficients (ascending degree) in the local
     variable u = x − breakpoints[i], valid on [breakpoints[i], breakpoints[i+1]].
+    The public constructor takes no breakpoints or two or more, strictly
+    increasing under the default witness's certified `compare`.
     """
 
     breakpoints: tuple = ()
     pieces: tuple = ()
 
     def __post_init__(self):
-        bps = tuple(self.breakpoints)
+        bps = _increasing(self.breakpoints)
         pcs = tuple(tuple(map(complex, p)) for p in self.pieces)
-        if bps and len(pcs) != len(bps) - 1:
-            raise QuasifoldError("need one piece per breakpoint gap")
-        if not bps and pcs:
-            raise QuasifoldError("pieces without breakpoints")
+        if len(bps) == 1 or len(pcs) != max(len(bps) - 1, 0):
+            raise QuasifoldError("need 0 or ≥ 2 breakpoints, one piece per gap")
         if not all(cmath.isfinite(c) for p in pcs for c in p):
             raise QuasifoldError("PiecewisePoly coefficients must be finite")
         object.__setattr__(self, "breakpoints", bps)
@@ -168,15 +191,16 @@ class PiecewisePoly:
     def interpolate_linear(breaks: Sequence[QAlpha],
                            values: Sequence) -> "PiecewisePoly":
         """Continuous piecewise-linear interpolant (values at breakpoints)."""
-        w = default_witness()
         if len(values) != len(breaks):
             raise QuasifoldError("one value per breakpoint")
+        breaks = _increasing(breaks)
+        w = default_witness()
         pieces = []
         for i in range(len(breaks) - 1):
             width = w.to_float(breaks[i + 1] - breaks[i])
             v0, v1 = complex(values[i]), complex(values[i + 1])
             pieces.append((v0, (v1 - v0) / width))
-        return PiecewisePoly(tuple(breaks), tuple(pieces))
+        return PiecewisePoly(breaks, tuple(pieces))
 
     @property
     def is_zero(self) -> bool:
@@ -195,92 +219,68 @@ class PiecewisePoly:
                 deg = max(deg, nz[-1])
         return deg
 
-    # -- exact translation --
+    # -- exact translation; pointwise maps keep the breakpoints --
     def shift_arg(self, s: QAlpha) -> "PiecewisePoly":
         """x ↦ self(x + s): breakpoints move by −s; local pieces unchanged."""
         return _piecewise(tuple(b - s for b in self.breakpoints), self.pieces)
 
     def scale(self, c) -> "PiecewisePoly":
-        return PiecewisePoly(self.breakpoints,
-                             tuple(tuple(x * complex(c) for x in p) for p in self.pieces))
+        return _piecewise(self.breakpoints,
+                          tuple(tuple(x * complex(c) for x in p) for p in self.pieces))
 
     def conjugate(self) -> "PiecewisePoly":
-        return PiecewisePoly(self.breakpoints,
-                             tuple(tuple(x.conjugate() for x in p) for p in self.pieces))
+        return _piecewise(self.breakpoints,
+                          tuple(tuple(x.conjugate() for x in p) for p in self.pieces))
 
     # -- grid alignment --
-    def _merged_breaks(self, other: "PiecewisePoly", w: AlphaWitness):
-        merged = list(self.breakpoints)
-        seen = set(merged)
-        for b in other.breakpoints:
-            if b not in seen:
-                seen.add(b)
-                merged.append(b)
-        merged.sort(key=w.evaluate)
-        return merged
-
-    def _on_grid(self, grid, w: AlphaWitness):
-        """Local piece coefficients on each grid interval (zero off-support).
-
-        The merged grid contains every breakpoint of self exactly, so the
-        containing piece advances precisely at those grid points; membership
-        needs only exact equality, never an order decision.
-        """
-        out = []
-        pos = {b: i for i, b in enumerate(self.breakpoints)}
-        piece = None
-        for j in range(len(grid) - 1):
-            left = grid[j]
-            k = pos.get(left)
-            if k is not None:
-                piece = k if k < len(self.pieces) else None
-            if piece is None:
-                out.append(())
-                continue
-            base = self.breakpoints[piece]
-            coeffs = self.pieces[piece]
-            if left == base:
-                out.append(tuple(coeffs))
-            else:
-                delta = w.to_float(left - base)
-                out.append(tuple(K.poly_shift(list(coeffs), delta)))
-        return out
-
-    def _binary(self, other: "PiecewisePoly", op) -> "PiecewisePoly":
-        if not self.breakpoints:
-            return other if op == "add" else PiecewisePoly()
-        if not other.breakpoints:
-            return self if op == "add" else PiecewisePoly()
+    def _aligned(self, other: "PiecewisePoly"):
+        """(grid, mine, theirs): both operands' breakpoints in order, and
+        each one's local coefficients per grid interval (() off its support).
+        The walk compares two heads at a time by witness values computed once
+        per breakpoint; an exactly equal pair enters the grid once, and on a
+        tie of values self's breakpoint comes first."""
         w = default_witness()
-        grid = self._merged_breaks(other, w)
-        mine = self._on_grid(grid, w)
-        theirs = other._on_grid(grid, w)
-        pieces = []
-        for a, b in zip(mine, theirs):
-            if op == "add":
-                pieces.append(tuple(K.poly_add(list(a), list(b))))
+        a, b = self.breakpoints, other.breakpoints
+        ka = [w.evaluate(x) for x in a]
+        kb = [w.evaluate(x) for x in b]
+        n, m = len(a), len(b)
+        i = j = 0
+        grid, mine, theirs = [], [], []
+        while i < n or j < m:
+            if j == m or i < n and ka[i] <= kb[j]:
+                x = a[i]
+                i += 1
+                if j < m and b[j] == x:
+                    j += 1
             else:
-                pieces.append(tuple(K.poly_mul(list(a), list(b))) if a and b else ())
-        return _piecewise(tuple(grid), tuple(pieces))._trimmed()
+                x = b[j]
+                j += 1
+            grid.append(x)
+            mine.append(self._local(i, x, w))
+            theirs.append(other._local(j, x, w))
+        return grid, mine[:-1], theirs[:-1]
+
+    def _local(self, i: int, x: QAlpha, w) -> tuple:
+        """Coefficients at grid point x, past i of self's breakpoints: piece
+        i − 1 Taylor-shifted to start at x, or () outside the support."""
+        if not 0 < i < len(self.breakpoints):
+            return ()
+        base, coeffs = self.breakpoints[i - 1], self.pieces[i - 1]
+        if x == base:
+            return coeffs
+        return tuple(K.poly_shift(list(coeffs), w.to_float(x - base)))
 
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        return self._binary(other, "add")
+        if not self.breakpoints or not other.breakpoints:
+            return self if self.breakpoints else other
+        grid, mine, theirs = self._aligned(other)
+        return _trimmed(grid, [tuple(K.poly_add(list(a), list(b)))
+                               for a, b in zip(mine, theirs)])
 
     def __mul__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        return self._binary(other, "mul")
-
-    def _trimmed(self) -> "PiecewisePoly":
-        pieces = list(self.pieces)
-        breaks = list(self.breakpoints)
-        while pieces and all(c == 0 for c in pieces[0]):
-            pieces.pop(0)
-            breaks.pop(0)
-        while pieces and all(c == 0 for c in pieces[-1]):
-            pieces.pop()
-            breaks.pop()
-        if not pieces:
-            return PiecewisePoly()
-        return _piecewise(tuple(breaks), tuple(pieces))
+        grid, mine, theirs = self._aligned(other)
+        return _trimmed(grid, [tuple(K.poly_mul(list(a), list(b)))
+                               if a and b else () for a, b in zip(mine, theirs)])
 
     # -- numerics --
     def eval(self, x: float) -> complex:
@@ -314,16 +314,7 @@ class PiecewisePoly:
     def distance(self, other: "PiecewisePoly") -> float:
         """Max coefficient difference on the merged grid (bounds nothing by
         itself, but is exactly the right notion for route comparisons)."""
-        if not self.breakpoints and not other.breakpoints:
-            return 0.0
-        if not self.breakpoints:
-            return max((abs(c) for p in other.pieces for c in p), default=0.0)
-        if not other.breakpoints:
-            return max((abs(c) for p in self.pieces for c in p), default=0.0)
-        w = default_witness()
-        grid = self._merged_breaks(other, w)
-        mine = self._on_grid(grid, w)
-        theirs = other._on_grid(grid, w)
+        _, mine, theirs = self._aligned(other)
         worst = 0.0
         for a, b in zip(mine, theirs):
             arr = K.poly_add(list(a), K.poly_scale(list(b), -1.0))
@@ -343,6 +334,29 @@ class PiecewisePoly:
         return PiecewisePoly(
             tuple(QAlpha.parse(b) for b in obj["breakpoints"]),
             tuple(tuple(complex(re, im) for re, im in p) for p in obj["pieces"]))
+
+
+def _increasing(breaks) -> tuple:
+    """The breakpoints as QAlpha (ints and Fractions are converted), checked
+    to increase strictly by the certified `compare`, which raises
+    PrecisionInsufficientError on a near-tie."""
+    try:
+        bps = tuple(map(_as_qalpha, breaks))
+    except TypeError:
+        raise QuasifoldError("PiecewisePoly breakpoints must be in Q+Qα") from None
+    compare = default_witness().compare
+    if any(compare(lo, hi) >= 0 for lo, hi in zip(bps, bps[1:])):
+        raise QuasifoldError("PiecewisePoly breakpoints must increase strictly")
+    return bps
+
+
+def _trimmed(breaks: list, pieces: list) -> PiecewisePoly:
+    """PiecewisePoly on the grid `breaks` with its zero end pieces cut off."""
+    nonzero = [i for i, p in enumerate(pieces) if any(p)]
+    if not nonzero:
+        return PiecewisePoly()
+    lo, hi = nonzero[0], nonzero[-1] + 1
+    return _piecewise(tuple(breaks[lo:hi + 1]), tuple(pieces[lo:hi]))
 
 
 def _piecewise(breakpoints: tuple, pieces: tuple) -> PiecewisePoly:

@@ -252,22 +252,20 @@ class QAlpha:
 
     @staticmethod
     def parse(text: str) -> "QAlpha":
+        """Read "p", "α" or "[p±]α[*q]" ("alpha" may stand for "α"); any
+        other text, such as "2α" or "α+1", raises ValueError."""
         s = text.strip().replace(" ", "").replace("alpha", "α")
         if not s:
             raise ValueError("empty QAlpha literal")
         if "α" not in s:
             return QAlpha(parse_rational(s))
         head, _, tail = s.partition("α")
-        sign = 1
-        if head.endswith("+"):
-            head = head[:-1]
-        elif head.endswith("-"):
-            head = head[:-1]
-            sign = -1
-        if tail.startswith("*"):
-            tail = tail[1:]
-        q = parse_rational(tail) if tail else _ONE
-        p = parse_rational(head) if head else _ZERO
+        if head and head[-1] not in "+-" or tail and tail[0] != "*":
+            raise ValueError(f"malformed QAlpha literal {text!r}: "
+                             "expected p, α or [p±]α[*q]")
+        sign = -1 if head.endswith("-") else 1
+        q = parse_rational(tail[1:]) if tail else _ONE
+        p = parse_rational(head[:-1]) if len(head) > 1 else _ZERO
         return QAlpha(p, sign * q)
 
     def sort_key(self):

@@ -99,6 +99,11 @@ class TestBadInputIsRejectedAtParseTime:
         self.assert_usage_error(*run(capsys, "groupoid", "--atlas", "t-alpha",
                                      "--point", "main:1/0"))
 
+    def test_implicit_product_in_point(self, capsys):
+        # "2α" is not 2+α: a coefficient of α is written α*2
+        self.assert_usage_error(*run(capsys, "groupoid", "--atlas", "t-alpha",
+                                     "--point", "main:2α"))
+
     def test_non_integer_repr_denominators(self, capsys):
         self.assert_usage_error(*run(capsys, "repr", "--p", "a"))
 
@@ -223,6 +228,12 @@ class TestDeterminism:
           "--rp", "4/3+α*2"),
          "d6c52ab514799c8e817f84ab017cad12b8675ad92a1276393afede508b04b656",
          EXIT_FAIL),
+        (("algebra", "--model", "line", "--trials", "20"),
+         "1244871553776420e3dde3c7d14ae24473b3ef92329101f0c7a998f5349f2877",
+         EXIT_PASS),
+        (("algebra", "--model", "circle-full", "--trials", "10"),
+         "8bd0001e88cca148dcd71315b91515a6e5aab8a7a0a7d484dc0ea8f2de389f53",
+         EXIT_PASS),
     ])
     def test_stdout_bytes_are_pinned(self, capsys, argv, digest, exit_code):
         # word discovery order and report bytes, pinned across code changes

@@ -6,11 +6,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quasifolds import _kernels as K
 from quasifolds.coefficients import PiecewisePoly, TrigPoly
-from quasifolds.errors import QuasifoldError
+from quasifolds.errors import PrecisionInsufficientError, QuasifoldError
 from quasifolds.exact import default_witness, qa
 
 W = default_witness()
@@ -24,6 +25,15 @@ def trig(d):
 small_coeff = st.complex_numbers(min_magnitude=0.0, max_magnitude=3.0,
                                  allow_nan=False, allow_infinity=False)
 small_trig = st.dictionaries(st.integers(-4, 4), small_coeff, max_size=4).map(trig)
+
+
+def _fibonacci_near_tie():
+    """F_144·α − F_143 ≈ −8e-31, inside the golden witness's margin around 0
+    though its 60-digit value reads exactly 0."""
+    fib = [0, 1]
+    while len(fib) <= 144:
+        fib.append(fib[-1] + fib[-2])
+    return qa(-fib[143], fib[144])
 
 
 class TestTrigPolyBasics:
@@ -107,6 +117,19 @@ class TestTrigPolyOperations:
         f = trig({3: 1 - 2j, -1: 0.125})
         assert TrigPoly.from_json(f.to_json()) == f
 
+    @pytest.mark.parametrize("modes", [
+        ((1.5, 1),), (("x", 1),), ((1, 1), (1, 2)), ((0, 1), (3, 0), (3, 2)),
+    ])
+    def test_mode_indices_must_be_distinct_integers(self, modes):
+        with pytest.raises(QuasifoldError):
+            TrigPoly(modes)
+
+    @pytest.mark.parametrize("keys", [("1.5",), ("x",), ("1", "01")])
+    def test_json_mode_keys_must_be_distinct_integers(self, keys):
+        with pytest.raises(QuasifoldError):
+            TrigPoly.from_json({"kind": "trig",
+                                "modes": {k: [1.0, 0.0] for k in keys}})
+
     @pytest.mark.parametrize("c", [complex("inf"), complex(0, float("nan")),
                                    complex(float("-inf"), 1.0)])
     def test_non_finite_coefficients_rejected(self, c):
@@ -123,6 +146,37 @@ class TestPiecewisePolyBasics:
             PiecewisePoly((qa(0), qa(1), qa(2)), ((1.0,),))
         with pytest.raises(QuasifoldError):
             PiecewisePoly((), ((1.0,),))
+        with pytest.raises(QuasifoldError):
+            PiecewisePoly((qa(0),), ())
+
+    @pytest.mark.parametrize("breaks", [
+        (qa(1), qa(0)), (qa(0), qa(0)), (qa(0, 1), qa(1), qa(Fraction(1, 2))),
+    ])
+    def test_breakpoints_must_increase(self, breaks):
+        pieces = tuple((1.0,) for _ in breaks[1:])
+        with pytest.raises(QuasifoldError):
+            PiecewisePoly(breaks, pieces)
+
+    def test_breakpoint_order_near_a_tie_raises(self):
+        x = _fibonacci_near_tie()
+        with pytest.raises(PrecisionInsufficientError):
+            PiecewisePoly((x, qa(0), qa(1)), ((1,), (1,)))
+
+    def test_rational_breakpoints_are_converted(self):
+        f = PiecewisePoly((0, Fraction(1, 2), 1), ((1,), (2,)))
+        assert f.breakpoints == (qa(0), qa(Fraction(1, 2)), qa(1))
+        assert f == PiecewisePoly((qa(0), qa(Fraction(1, 2)), qa(1)),
+                                  ((1,), (2,)))
+        assert (f * f).eval(0.75) == 4
+
+    @pytest.mark.parametrize("bad", [0.5, "1", None])
+    def test_breakpoints_outside_q_alpha_rejected(self, bad):
+        with pytest.raises(QuasifoldError):
+            PiecewisePoly((qa(0), bad), ((1,),))
+
+    def test_interpolate_linear_rejects_equal_breaks(self):
+        with pytest.raises(QuasifoldError):
+            PiecewisePoly.interpolate_linear([qa(0), qa(0)], [0.0, 1.0])
 
     def test_constant_on(self):
         f = PiecewisePoly.constant_on(qa(0), qa(1), 2 + 1j)
@@ -211,6 +265,11 @@ class TestPiecewisePolyArithmetic:
         assert f.scale(2).eval(0.5) == 2 + 4j
         assert f.conjugate().eval(0.5) == 1 - 2j
 
+    def test_scale_and_conjugate_equal_the_checked_constructor(self):
+        f = PiecewisePoly((qa(0), qa(0, 1), qa(1)), ((1 + 2j, -1j), (0.5,)))
+        for got in (f.scale(2 - 1j), f.conjugate()):
+            assert got == PiecewisePoly(got.breakpoints, got.pieces)
+
 
 class TestPiecewisePolyMetrics:
     def test_max_jump_continuous(self):
@@ -250,3 +309,149 @@ class TestPiecewisePolyMetrics:
             PiecewisePoly.from_json(
                 {"kind": "piecewise", "breakpoints": ["0", "1"],
                  "pieces": [[[complex(c).real, complex(c).imag]]]})
+
+
+# ---------------------------------------------------------------------------
+# the ordered breakpoint walk against the sort-based alignment it replaced
+# ---------------------------------------------------------------------------
+
+def _sorted_alignment(f, g):
+    """Merged grid and both operands' local coefficients, as aligned by a
+    hash-set union, a stable sort on witness values and per-operand
+    position dicts."""
+    w = default_witness()
+    grid = list(f.breakpoints)
+    seen = set(grid)
+    for b in g.breakpoints:
+        if b not in seen:
+            seen.add(b)
+            grid.append(b)
+    grid.sort(key=w.evaluate)
+    return grid, _on_grid(f, grid, w), _on_grid(g, grid, w)
+
+
+def _on_grid(f, grid, w):
+    out = []
+    pos = {b: i for i, b in enumerate(f.breakpoints)}
+    piece = None
+    for left in grid[:-1]:
+        k = pos.get(left)
+        if k is not None:
+            piece = k if k < len(f.pieces) else None
+        if piece is None:
+            out.append(())
+            continue
+        base, coeffs = f.breakpoints[piece], f.pieces[piece]
+        if left == base:
+            out.append(tuple(coeffs))
+        else:
+            out.append(tuple(K.poly_shift(list(coeffs), w.to_float(left - base))))
+    return out
+
+
+def _sorted_binary(f, g, add):
+    """_bits of f + g or f·g under the sort-based alignment."""
+    if not f.breakpoints:
+        return _bits(g if add else PiecewisePoly())
+    if not g.breakpoints:
+        return _bits(f if add else PiecewisePoly())
+    grid, mine, theirs = _sorted_alignment(f, g)
+    pieces = [tuple(K.poly_add(list(a), list(b))) if add
+              else tuple(K.poly_mul(list(a), list(b))) if a and b else ()
+              for a, b in zip(mine, theirs)]
+    while pieces and all(c == 0 for c in pieces[0]):
+        pieces.pop(0)
+        grid.pop(0)
+    while pieces and all(c == 0 for c in pieces[-1]):
+        pieces.pop()
+        grid.pop()
+    return _bits(PiecewisePoly() if not pieces else _Raw(tuple(grid), pieces))
+
+
+def _sorted_distance(f, g):
+    if not f.breakpoints and not g.breakpoints:
+        return 0.0
+    if not f.breakpoints:
+        return max((abs(c) for p in g.pieces for c in p), default=0.0)
+    if not g.breakpoints:
+        return max((abs(c) for p in f.pieces for c in p), default=0.0)
+    _, mine, theirs = _sorted_alignment(f, g)
+    worst = 0.0
+    for a, b in zip(mine, theirs):
+        arr = K.poly_add(list(a), K.poly_scale(list(b), -1.0))
+        worst = max(worst, max((abs(c) for c in arr), default=0.0))
+    return worst
+
+
+class _Raw:
+    """Breakpoints and pieces taken as they are, with no order check: the
+    sort-based alignment keeps a grid whose order the witness cannot
+    certify."""
+
+    def __init__(self, breakpoints, pieces):
+        self.breakpoints, self.pieces = breakpoints, pieces
+
+
+def _bits(f):
+    return (f.breakpoints,
+            tuple(tuple((c.real.hex(), c.imag.hex()) for c in p)
+                  for p in f.pieces))
+
+
+small_parts = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+small_points = st.builds(qa, small_parts, st.integers(-2, 2))
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=6)
+piece_coeffs = st.lists(
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                       allow_infinity=False), max_size=3).map(tuple)
+
+
+@st.composite
+def piecewise_on(draw, points):
+    """A PiecewisePoly whose breakpoints are drawn from `points`."""
+    bps = sorted(draw(st.sets(points, min_size=2, max_size=5)),
+                 key=W.evaluate)
+    pieces = draw(st.lists(piece_coeffs, min_size=len(bps) - 1,
+                           max_size=len(bps) - 1))
+    return PiecewisePoly(tuple(bps), tuple(pieces))
+
+
+@st.composite
+def operand_pairs(draw):
+    f = draw(piecewise_on(small_points))
+    kind = draw(st.sampled_from(
+        ("independent", "shared", "nested", "disjoint", "shifted", "zero")))
+    if kind == "independent":
+        g = draw(piecewise_on(small_points))
+    elif kind == "shared":
+        g = draw(piecewise_on(st.one_of(st.sampled_from(f.breakpoints),
+                                        small_points)))
+    elif kind == "nested":
+        i = draw(st.integers(0, len(f.pieces) - 1))
+        lo, hi = f.breakpoints[i], f.breakpoints[i + 1]
+        g = draw(piecewise_on(unit_fractions.map(
+            lambda t: lo + (hi - lo).scale(t))))
+    elif kind == "disjoint":
+        g = draw(piecewise_on(small_points)).shift_arg(
+            qa(draw(st.sampled_from((-12, 12))), draw(st.integers(-1, 1))))
+    elif kind == "shifted":
+        g = f.shift_arg(draw(small_points))
+    else:
+        g = PiecewisePoly()
+    return (g, f) if draw(st.booleans()) else (f, g)
+
+
+class TestOrderedWalkMatchesSortedAlignment:
+    """Sums, products and distances are bit for bit those of the sort-based
+    alignment, including where the witness's values tie (the Fibonacci
+    example, whose order the walk does not certify either)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(operand_pairs())
+    @example((PiecewisePoly.constant_on(qa(0), qa(1), 1.0),
+              PiecewisePoly.constant_on(_fibonacci_near_tie(), qa(1), 1.0)))
+    def test_add_mul_distance_bitwise(self, pair):
+        f, g = pair
+        assert _bits(f + g) == _sorted_binary(f, g, add=True)
+        assert _bits(f * g) == _sorted_binary(f, g, add=False)
+        assert f.distance(g).hex() == _sorted_distance(f, g).hex()

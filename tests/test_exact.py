@@ -52,6 +52,24 @@ class TestQAlpha:
         with pytest.raises(ValueError):
             QAlpha.parse("one plus alpha")
 
+    @pytest.mark.parametrize("text", [
+        "2α", "3alpha", "α+1", "α-1", "2α+3", "1/2α",
+        "α*", "αα", "α*2α", "1++α", "+-α", "α2",
+    ])
+    def test_parse_rejects_text_outside_the_grammar(self, text):
+        # the grammar is p, α or [p±]α[*q]: no implicit product, no term
+        # after α
+        with pytest.raises(ValueError):
+            QAlpha.parse(text)
+
+    @pytest.mark.parametrize("text, value", [
+        ("-α", qa(0, -1)), ("+alpha", qa(0, 1)), ("3-α", qa(3, -1)),
+        ("1/2+alpha*-3", qa(Fraction(1, 2), -3)), (" 1 - α * 2 ", qa(1, -2)),
+    ])
+    def test_parse_accepts_signed_forms(self, text, value):
+        assert QAlpha.parse(text) == value
+        assert QAlpha.parse(str(value)) == value
+
     def test_sort_key_is_total_on_representations(self):
         vals = [qa(1, 0), qa(0, 1), qa(0, 0), qa(1, -1)]
         ordered = sorted(vals, key=lambda v: v.sort_key())
