@@ -5,7 +5,10 @@ identifies points with the same image in the quasifold; a transition is a
 declared affine germ between chart domains compatible with the chart maps.
 The structure groupoid has the disjoint union of chart domains as objects and
 germs of ev-absorbed local diffeomorphisms as arrows, each represented by a
-globally affine map.
+globally affine map.  However a `StructureGroupoid` is built
+(`build_groupoid` is the same call), it first spot-checks every declared
+transition with `groups.require_intertwines`, the check a bi-atlas applies
+to its linking seeds.
 
 Point equality on the quasifold is bounded-decidable: arrows found within a
 bound certify "equal"; coefficient/lattice obstructions (computed on a
@@ -30,7 +33,8 @@ from .errors import (InconclusiveAtBoundError, InconsistentTransitionError,
 from .exact import AffineElement, QAlpha, Trit, default_witness, vec_eq
 from .groupoid import Arrow, NebulaPoint, arrow_invert
 from .groups import (FiniteMatrixGroup, GroupPresentation,
-                     RationalTranslations, TranslationLattice, breadth_first)
+                     RationalTranslations, TranslationLattice, breadth_first,
+                     require_intertwines)
 
 __all__ = [
     "Interval", "Chart", "Transition", "Atlas", "StructureGroupoid",
@@ -40,7 +44,6 @@ __all__ = [
 ]
 
 ROUTE_CAP = 8  # transition layers searched for reachable cosets and routes
-TRANSITION_CHECK_BOUND = 1  # enumeration bound of build_groupoid's spot check
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +283,20 @@ class AssemblyReport:
 class StructureGroupoid:
     """Arrow calculus over an atlas: bounded word generation, fibers,
     three-valued point equality, assembly reports.  Chart-domain tests order
-    points under the default witness current at each call."""
+    points under the default witness current at each call.  Construction
+    refuses a declared transition whose overlap sample is empty or that is
+    certified not to intertwine its charts' groups."""
 
     def __init__(self, atlas: Atlas):
+        for t in atlas.transitions:
+            if t.map.is_identity and t.src == t.dst:
+                continue
+            src, dst = atlas.chart(t.src), atlas.chart(t.dst)
+            if _overlap_sample(src, dst, t.map) is None:
+                raise InconsistentTransitionError(
+                    f"transition {t.src}→{t.dst}: empty overlap sample")
+            require_intertwines(t.map, src.group, dst.group,
+                                f"transition {t.src}→{t.dst}")
         self.atlas = atlas
         self._letters = self._transition_letters()
 
@@ -493,49 +507,21 @@ class StructureGroupoid:
 
 
 def build_groupoid(atlas: Atlas) -> StructureGroupoid:
-    """Construct the structure groupoid, spot-checking declared transitions.
-
-    Operational consistency check per transition (src Γ, dst Γ', map m):
-    the overlap must be nonempty and conjugation m·γ·m⁻¹ must land in Γ' for
-    the enumerated γ — a certified failure raises; inconclusive passes (the
-    declaration is the contract).
-    """
-    from .groups import membership_status
-
-    g = StructureGroupoid(atlas)
-    for t in atlas.transitions:
-        if t.map.is_identity and t.src == t.dst:
-            continue
-        src, dst = atlas.chart(t.src), atlas.chart(t.dst)
-        sample = _overlap_sample(src, dst, t.map)
-        if sample is None:
-            raise InconsistentTransitionError(
-                f"transition {t.src}→{t.dst}: empty overlap sample")
-        minv = t.map.invert()
-        for gamma in src.group.enumerate(TRANSITION_CHECK_BOUND):
-            conj = t.map.compose(gamma).compose(minv)
-            if membership_status(dst.group, conj,
-                                 TRANSITION_CHECK_BOUND * 4) is Trit.FALSE:
-                raise InconsistentTransitionError(
-                    f"transition {t.src}→{t.dst}: conjugate {conj} escapes Γ'")
-    return g
+    """The structure groupoid of the atlas (same as `StructureGroupoid`)."""
+    return StructureGroupoid(atlas)
 
 
 def _overlap_sample(src: Chart, dst: Chart, m: AffineElement):
     """A point of dom(src) whose image lies in dom(dst), or None."""
-    candidates = []
     if src.domain is None:
-        candidates.append(tuple(QAlpha() for _ in range(src.dimension)))
+        candidates = [tuple(QAlpha() for _ in range(src.dimension))]
     else:
-        candidates.append(tuple(iv.midpoint() for iv in src.domain))
-        candidates.append(tuple(
-            iv.lo + (iv.hi - iv.lo).scale(Fraction(1, 4))
+        # the midpoint, then the quarter points (midpoints of unbounded sides)
+        candidates = [tuple(
+            iv.lo + (iv.hi - iv.lo).scale(t)
             if iv.lo is not None and iv.hi is not None else iv.midpoint()
-            for iv in src.domain))
-        candidates.append(tuple(
-            iv.lo + (iv.hi - iv.lo).scale(Fraction(3, 4))
-            if iv.lo is not None and iv.hi is not None else iv.midpoint()
-            for iv in src.domain))
+            for iv in src.domain)
+            for t in (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))]
     for pt in candidates:
         try:
             if src.contains(pt) and dst.contains(m.apply(pt)):

@@ -5,29 +5,28 @@ nebula into a chart of the right atlas, compatible with both evaluation maps.
 The left structure groupoid acts by precomposition, the right one by
 postcomposition; the set generated from finitely many seeds by bounded words
 carries free commuting actions whose class maps are bijections onto objects.
+
+A seed must carry the left chart's group into the right chart's group, the
+computable content of compatibility with both evaluation maps: a bi-atlas
+checks it with `groups.require_intertwines`, the check every transition of
+its two atlases passes when their structure groupoids are built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .atlas import Atlas, StructureGroupoid
-from .errors import (InconsistentTransitionError, NotComposableError,
-                     QuasifoldError)
-from .exact import AffineElement, QAlpha, Trit
+from .errors import NotComposableError, QuasifoldError
 from .groupoid import Arrow, NebulaPoint
-from .groups import (FiniteMatrixGroup, GeneratedGroup, RationalTranslations,
-                     TranslationLattice, membership_status)
+from .groups import require_intertwines
 
 __all__ = [
     "LinkingGerm", "BiAtlas", "left_act", "right_act", "class_map",
     "invert_germ", "quotient_witness", "quotient_witness_right",
     "surjectivity_probe", "source_probe", "generate_germs",
 ]
-
-SEED_CHECK_BOUND = 3  # membership bound of the seed compatibility check
 
 
 @dataclass(frozen=True)
@@ -36,27 +35,6 @@ class LinkingGerm(Arrow):
 
     def __str__(self):
         return f"{self.src} ={self.map}=> {self.dst_chart}"
-
-
-def _compatibility_sample(group) -> tuple:
-    """Finite set of group elements whose conjugates must land in the partner
-    group for a seed to be compatible (generators, or height-1..3 rationals
-    for the dense rational group)."""
-    if isinstance(group, TranslationLattice):
-        return tuple(AffineElement.translation(g) for g in group.generators)
-    if isinstance(group, (FiniteMatrixGroup,)):
-        return tuple(group.elements)
-    if isinstance(group, GeneratedGroup):
-        return tuple(group.generators)
-    if isinstance(group, RationalTranslations):
-        out = []
-        for k in (1, 2, 3):
-            for axis in range(group.dimension):
-                vec = [QAlpha(0)] * group.dimension
-                vec[axis] = QAlpha(Fraction(1, k))
-                out.append(AffineElement.translation(tuple(vec)))
-        return tuple(out)
-    return ()
 
 
 @dataclass(frozen=True)
@@ -76,24 +54,11 @@ class BiAtlas:
         for z in self.seeds:
             left_g.require_point(z.src)
             right_g.require_point(z.trg)
-            self._check_seed_compatibility(z)
+            require_intertwines(z.map, self.left.chart(z.src.chart).group,
+                                self.right.chart(z.dst_chart).group,
+                                f"seed {z}")
         object.__setattr__(self, "_left_groupoid", left_g)
         object.__setattr__(self, "_right_groupoid", right_g)
-
-    def _check_seed_compatibility(self, z: LinkingGerm):
-        """The seed must carry the left structure group into the right one:
-        z ∘ γ ∘ z⁻¹ ∈ Γ' for each left generator γ (the computable content of
-        compatibility with both evaluation maps)."""
-        gamma_left = self.left.chart(z.src.chart).group
-        gamma_right = self.right.chart(z.dst_chart).group
-        inv = z.map.invert()
-        for gamma in _compatibility_sample(gamma_left):
-            conj = z.map.compose(gamma).compose(inv)
-            if membership_status(gamma_right, conj,
-                                 SEED_CHECK_BOUND) is Trit.FALSE:
-                raise InconsistentTransitionError(
-                    f"seed {z} does not intertwine the structure groups: "
-                    f"{gamma} conjugates outside the right group")
 
     def left_groupoid(self) -> StructureGroupoid:
         return self._left_groupoid

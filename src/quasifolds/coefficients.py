@@ -39,8 +39,7 @@ class TrigPoly:
         if len(modes) != len(self.modes):
             raise QuasifoldError("TrigPoly mode indices must be distinct")
         cleaned = tuple(sorted((k, c) for k, c in modes.items() if c != 0))
-        if not all(cmath.isfinite(c) for _, c in cleaned):
-            raise QuasifoldError("TrigPoly coefficients must be finite")
+        _require_finite((c for _, c in cleaned), "TrigPoly")
         object.__setattr__(self, "modes", cleaned)
 
     @staticmethod
@@ -81,7 +80,11 @@ class TrigPoly:
         return TrigPoly._from_dense(off, arr)
 
     def scale(self, s) -> "TrigPoly":
-        return TrigPoly(tuple((k, c * complex(s)) for k, c in self.modes))
+        s = complex(s)
+        products = ((k, c * s) for k, c in self.modes)
+        modes = tuple(m for m in products if m[1] != 0)
+        _require_finite((c for _, c in modes), "TrigPoly")
+        return _trig(modes)
 
     def conjugate(self) -> "TrigPoly":
         """Pointwise complex conjugate: c_k ↦ conj(c_{−k})."""
@@ -148,6 +151,11 @@ def dense_rows(polys) -> tuple:
     return lo, rows
 
 
+def _require_finite(coefficients, kind: str):
+    if not all(map(cmath.isfinite, coefficients)):
+        raise QuasifoldError(f"{kind} coefficients must be finite")
+
+
 def _trig(modes: tuple) -> TrigPoly:
     """TrigPoly from modes already in normal form (sorted int indices,
     nonzero complex values), skipping `__post_init__`."""
@@ -174,8 +182,7 @@ class PiecewisePoly:
         pcs = tuple(tuple(map(complex, p)) for p in self.pieces)
         if len(bps) == 1 or len(pcs) != max(len(bps) - 1, 0):
             raise QuasifoldError("need 0 or ≥ 2 breakpoints, one piece per gap")
-        if not all(cmath.isfinite(c) for p in pcs for c in p):
-            raise QuasifoldError("PiecewisePoly coefficients must be finite")
+        _require_finite((c for p in pcs for c in p), "PiecewisePoly")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", pcs)
 
@@ -225,8 +232,10 @@ class PiecewisePoly:
         return _piecewise(tuple(b - s for b in self.breakpoints), self.pieces)
 
     def scale(self, c) -> "PiecewisePoly":
-        return _piecewise(self.breakpoints,
-                          tuple(tuple(x * complex(c) for x in p) for p in self.pieces))
+        c = complex(c)
+        pieces = tuple(tuple(x * c for x in p) for p in self.pieces)
+        _require_finite((x for p in pieces for x in p), "PiecewisePoly")
+        return _piecewise(self.breakpoints, pieces)
 
     def conjugate(self) -> "PiecewisePoly":
         return _piecewise(self.breakpoints,

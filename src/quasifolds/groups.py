@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatchError, EnumerationCapError
+from .errors import (DimensionMismatchError, EnumerationCapError,
+                     InconsistentTransitionError)
 from .exact import AffineElement, QAlpha, Trit, solve_linear, vec_eq
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "FiniteMatrixGroup",
     "GeneratedGroup",
     "breadth_first",
+    "require_intertwines",
     "enumerate_group",
     "orbit_witness",
 ]
@@ -426,6 +428,36 @@ def membership_status(group: GroupPresentation, g: AffineElement, bound: int) ->
         if cand == g:
             return Trit.TRUE
     return Trit.UNKNOWN
+
+
+def require_intertwines(m: AffineElement, src: GroupPresentation,
+                        dst: GroupPresentation, what: str) -> None:
+    """Spot-check that m carries src into dst: m·γ·m⁻¹ ∈ dst for each γ of
+    one finite sample of src (the generators of a lattice or generated
+    group, every element of a finite group, e_i/k for k = 1, 2, 3 for the
+    rational translations).  Only a certified FALSE raises
+    InconsistentTransitionError; it never depends on the membership bound,
+    so membership is asked at bound 0 and an inconclusive answer passes."""
+    if isinstance(src, TranslationLattice):
+        sample = [AffineElement.translation(g) for g in src.generators]
+    elif isinstance(src, FiniteMatrixGroup):
+        sample = src.elements
+    elif isinstance(src, GeneratedGroup):
+        sample = src.generators
+    elif isinstance(src, RationalTranslations):
+        n = src.dimension
+        sample = [AffineElement.translation(tuple(
+            QAlpha(Fraction(1, k) if i == axis else 0) for i in range(n)))
+            for k in (1, 2, 3) for axis in range(n)]
+    else:
+        sample = ()
+    inv = m.invert()
+    for gamma in sample:
+        if membership_status(dst, m.compose(gamma).compose(inv),
+                             0) is Trit.FALSE:
+            raise InconsistentTransitionError(
+                f"{what} does not intertwine the groups: {gamma} "
+                "conjugates outside the target group")
 
 
 def enumerate_group(group: GroupPresentation, bound: int) -> tuple:

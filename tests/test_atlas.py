@@ -46,6 +46,22 @@ class TestAtlasValidation:
         with pytest.raises(InconsistentTransitionError):
             build_groupoid(atlas)
 
+    @pytest.mark.parametrize("build", [build_groupoid, StructureGroupoid])
+    @pytest.mark.parametrize("src_group, bad", [
+        # the atlas above: t_1 conjugates by x ↦ x/3 to t_1/3 ∉ Z+αZ
+        (z_alpha_lattice(), AffineElement.linear(((Fraction(1, 3),),))),
+        # the identity carries t_1/2 ∈ Q to t_1/2 ∉ Z+αZ; accepted, this
+        # atlas would make b:0 and b:1/2 the same point
+        (RationalTranslations(1), AffineElement.identity(1)),
+    ], ids=["third", "rational-into-lattice"])
+    def test_every_construction_checks_transitions(self, build, src_group,
+                                                   bad):
+        atlas = Atlas((Chart("a", src_group, None),
+                       Chart("b", z_alpha_lattice(), None)),
+                      (Transition("a", "b", bad),))
+        with pytest.raises(InconsistentTransitionError):
+            build(atlas)
+
     def test_builtin_atlases_build(self):
         for name in ("t-alpha", "t-alpha-duplicated", "reflection-orbifold",
                      "rational-quotient"):

@@ -5,12 +5,18 @@ main(argv)."""
 import hashlib
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
+from quasifolds.atlas import Atlas, Chart, Transition
+from quasifolds.catalog import get_biatlas, z_alpha_lattice
 from quasifolds.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS,
-                            EXIT_USAGE, main)
-from quasifolds.exact import default_witness
+                            EXIT_USAGE, UsageError, main, resolve_biatlas)
+from quasifolds.errors import InconsistentTransitionError
+from quasifolds.exact import AffineElement, default_witness
+from quasifolds.serialize import (atlas_to_json, biatlas_to_json,
+                                  load_biatlas_file, save_json)
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -31,6 +37,15 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+def third_atlas(first: str) -> Atlas:
+    """Z+αZ charts `first` and b glued by x ↦ x/3, which conjugates t_1 to
+    t_1/3 ∉ Z+αZ: an inconsistent transition."""
+    third = AffineElement.linear(((Fraction(1, 3),),))
+    return Atlas((Chart(first, z_alpha_lattice(), None),
+                  Chart("b", z_alpha_lattice(), None)),
+                 (Transition(first, "b", third),))
 
 
 class TestExitCodes:
@@ -154,6 +169,22 @@ class TestBadInputIsRejectedAtParseTime:
     ])
     def test_non_finite_alpha(self, capsys, argv):
         self.assert_usage_error(*run(capsys, *argv))
+
+    def test_atlas_file_with_an_inconsistent_transition(self, capsys,
+                                                        tmp_path):
+        bad = tmp_path / "bad-atlas.json"
+        save_json(bad, atlas_to_json(third_atlas("a")))
+        self.assert_usage_error(*run(capsys, "groupoid", "--atlas", str(bad)))
+
+    def test_biatlas_file_with_an_inconsistent_transition(self, tmp_path):
+        obj = biatlas_to_json(get_biatlas("duplicated"))
+        obj["left"] = atlas_to_json(third_atlas("main"))  # seed chart: main
+        bad = tmp_path / "bad-biatlas.json"
+        save_json(bad, obj)
+        with pytest.raises(InconsistentTransitionError):
+            load_biatlas_file(bad)
+        with pytest.raises(UsageError):
+            resolve_biatlas(str(bad))
 
     def test_point_within_witness_precision_of_domain_end(self, capsys):
         # F146·α − F145 + 3 = 3 − α¹⁴⁶ ≈ 3 − 3.1e-31: inside (−3, 3), but

@@ -311,6 +311,34 @@ class TestPiecewisePolyMetrics:
                  "pieces": [[[complex(c).real, complex(c).imag]]]})
 
 
+class TestScale:
+    """Both coefficient types scale without re-checking their normal form,
+    and both refuse a non-finite result, as their constructors do."""
+
+    @pytest.mark.parametrize("make", [
+        TrigPoly.one,
+        lambda: PiecewisePoly.constant_on(qa(0), qa(1), 1),
+    ], ids=["trig", "piecewise"])
+    @pytest.mark.parametrize("s", [float("inf"), complex(0, float("-inf")),
+                                   float("nan")])
+    def test_non_finite_factor_rejected(self, make, s):
+        with pytest.raises(QuasifoldError):
+            make().scale(s)
+
+    def test_overflow_rejected(self):
+        with pytest.raises(QuasifoldError):
+            TrigPoly.mode(3, 1e200).scale(1e200)
+        with pytest.raises(QuasifoldError):
+            PiecewisePoly.constant_on(qa(0), qa(1), 1e200).scale(1e200)
+
+    @pytest.mark.parametrize("s", [2 - 1j, 0, 1e-200, -1])
+    def test_trig_scale_equals_the_checked_constructor(self, s):
+        f = trig({-2: 1e-200, 0: 1 + 2j, 5: -0.5j})
+        got = f.scale(s)
+        assert got == TrigPoly(tuple((k, c * s) for k, c in f.modes))
+        assert all(c != 0 for _, c in got.modes)  # zero products pruned
+
+
 # ---------------------------------------------------------------------------
 # the ordered breakpoint walk against the sort-based alignment it replaced
 # ---------------------------------------------------------------------------

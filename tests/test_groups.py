@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasifolds import groups
-from quasifolds.errors import DimensionMismatchError, EnumerationCapError
+from quasifolds.errors import (DimensionMismatchError, EnumerationCapError,
+                               InconsistentTransitionError)
 from quasifolds.exact import AffineElement, QAlpha, Trit, qa, solve_linear
 from quasifolds.groups import (FiniteMatrixGroup, GeneratedGroup,
                                RationalTranslations, TranslationLattice,
                                enumerate_group, membership_status,
-                               orbit_witness)
+                               orbit_witness, require_intertwines)
 
 
 def zalpha():
@@ -301,3 +302,63 @@ class TestHelpers:
         w = orbit_witness((qa(0),), (qa(1, -1),), lat, 1)
         assert w is not None and w.apply((qa(0),)) == (qa(1, -1),)
         assert orbit_witness((qa(0),), (qa(5, 5),), lat, 1) is None
+
+
+# ---------------------------------------------------------------------------
+# the intertwining spot-check shared by transitions and linking seeds
+# ---------------------------------------------------------------------------
+
+INTERTWINING_GROUPS = {
+    "Z+aZ": zalpha(),
+    "half(Z+aZ)": TranslationLattice(((qa(Fraction(1, 2)),),
+                                      (qa(0, Fraction(1, 2)),))),
+    "Z": TranslationLattice(((qa(1),),)),
+    "dependent": TranslationLattice(((qa(1),), (qa(0, 1),), (qa(1, 1),))),
+    "Q": RationalTranslations(1),
+    "reflection": FiniteMatrixGroup((AffineElement.identity(1),
+                                     AffineElement.linear(((Fraction(-1),),)))),
+    "trivial": FiniteMatrixGroup((AffineElement.identity(1),)),
+    "<t1>": GeneratedGroup((AffineElement.translation((qa(1),)),)),
+}
+LATTICES = {"Z+aZ", "half(Z+aZ)", "Z", "dependent"}
+MAPS = [AffineElement(((Fraction(a),),), (b,))
+        for a in (1, -1, 2, Fraction(1, 2), Fraction(1, 3), -3)
+        for b in (qa(0), qa(0, 1), qa(Fraction(1, 2)))]
+
+
+def _raises(check) -> bool:
+    try:
+        check()
+    except InconsistentTransitionError:
+        return True
+    return False
+
+
+def _enumerated_check(m, src, dst):
+    """The earlier transition check, kept as an oracle: conjugate every
+    element of src.enumerate(1), ask membership at bound 4, raise on FALSE."""
+    inv = m.invert()
+    for gamma in src.enumerate(1):
+        if membership_status(dst, m.compose(gamma).compose(inv),
+                             4) is Trit.FALSE:
+            raise InconsistentTransitionError(f"{gamma} escapes")
+
+
+def test_intertwining_check_agrees_with_the_enumerated_check():
+    """The sample check refuses whatever the enumerated check refuses, and
+    more only where a rational source meets a lattice target: Q's height-1
+    elements t_0, t_±1 can conjugate into a lattice while its sample's
+    t_1/2 or t_1/3 cannot."""
+    cases = differences = 0
+    for (src_name, src), (dst_name, dst), m in itertools.product(
+            INTERTWINING_GROUPS.items(), INTERTWINING_GROUPS.items(), MAPS):
+        new = _raises(lambda: require_intertwines(m, src, dst, "map"))
+        old = _raises(lambda: _enumerated_check(m, src, dst))
+        cases += 1
+        if new != old:
+            differences += 1
+            assert new and not old, (src_name, dst_name, m)
+            assert src_name == "Q" and dst_name in LATTICES, (src_name,
+                                                               dst_name, m)
+    assert cases == 1152
+    assert differences == 48
