@@ -13,7 +13,10 @@ Two independent product routes are provided:
 On the circle the closed form runs every key pair through one batched numpy
 kernel (`_kernels.circle_convolve`), bitwise equal to the per-pair sum;
 convolve_general multiplies pair by pair through the pure-Python kernels, so
-the two routes share no product code.
+the two routes share no product code.  On the line the closed form skips
+each pair whose supports the witness's float enclosures prove disjoint
+(its product is zero) before any shift, and multiplies the others pair by
+pair; convolve_general multiplies every pair.
 
 The involution is (f*)_{−r}(x) = conj(f_r(x − r)).
 
@@ -264,18 +267,46 @@ def convolve_closed_form(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement
     On the circle all key pairs go through one batched kernel call,
     `_kernels.circle_convolve`, whose modes are bitwise those of the
     per-pair sum Σ key_shift(f_a, s)·g_s in (s outer, a inner) order.  On
-    the line each pair is one `PiecewisePoly` product.
+    the line a pair whose supports the witness's float enclosures prove
+    disjoint is skipped before any shift, since its product is zero; every
+    other pair is one `PiecewisePoly` product, in the same order.
     """
     f._require_same_model(g)
     model = f.model
     if model.kind == "circle":
         return _circle_product(f, g)
-    renormalise = model.renormalise
+    renormalise, enclose = model.renormalise, default_witness().enclose
+    f_spans = [_span(ca, enclose) for _, ca in f.support]
     out = {}
     for s, cs in g.support:
-        for a, ca in f.support:
+        es, g_span = enclose(s), _span(cs, enclose)
+        for (a, ca), f_span in zip(f.support, f_spans):
+            if _apart(f_span, es, g_span):
+                continue
             _add_term(out, renormalise(a + s), model.key_shift(ca, s) * cs)
     return _closed(model, out)
+
+
+def _span(c: PiecewisePoly, enclose):
+    """Enclosures (from `AlphaWitness.enclose`) of the two ends of c's
+    support, or None; stored coefficients are nonzero, so c has
+    breakpoints."""
+    lo, hi = enclose(c.breakpoints[0]), enclose(c.breakpoints[-1])
+    return (lo, hi) if lo is not None and hi is not None else None
+
+
+def _apart(f_span, es, g_span) -> bool:
+    """True when the enclosures prove the support of f(· + s), [lo_f − s,
+    hi_f − s], and that of g, [lo_g, hi_g], disjoint: lo_g + s − hi_f > 0
+    or lo_f − s − hi_g > 0, each by `AlphaWitness.enclose`'s rule for a
+    sum of three enclosed values.  False when they cannot decide."""
+    if f_span is None or es is None or g_span is None:
+        return False
+    (vlo_f, rlo_f), (vhi_f, rhi_f) = f_span
+    (vlo_g, rlo_g), (vhi_g, rhi_g) = g_span
+    vs, rs = es
+    return (vlo_g + vs - vhi_f > rlo_g + rs + rhi_f
+            or vlo_f - vs - vhi_g > rlo_f + rs + rhi_g)
 
 
 def _circle_product(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:

@@ -9,8 +9,11 @@ Q+Qα breakpoints.  Piece coefficients are stored in local coordinates
 u = x − (left breakpoint), which makes translation exact in both breakpoints
 and coefficients.  A sum, product or distance aligns its two operands with
 one ordered walk through both breakpoint tuples (`PiecewisePoly._aligned`),
-O(n + m) steps and no sort; that grid refinement is the only place a numeric
-Taylor shift happens.
+O(n + m) steps and no sort.  The walk orders two breakpoints by exact
+equality, else by the witness's binary64 enclosures, else by certified
+`compare` (`AlphaWitness.order`), and Taylor-shifts a piece to a grid point
+by the witness's float of the exact offset.  A product asks for local
+coefficients only where both factors are live.
 """
 
 from __future__ import annotations
@@ -242,31 +245,47 @@ class PiecewisePoly:
                           tuple(tuple(x.conjugate() for x in p) for p in self.pieces))
 
     # -- grid alignment --
-    def _aligned(self, other: "PiecewisePoly"):
+    def _aligned(self, other: "PiecewisePoly", overlap: bool = False):
         """(grid, mine, theirs): both operands' breakpoints in order, and
-        each one's local coefficients per grid interval (() off its support).
-        The walk compares two heads at a time by witness values computed once
-        per breakpoint; an exactly equal pair enters the grid once, and on a
-        tie of values self's breakpoint comes first."""
+        each one's local coefficients per grid interval (() off its support;
+        with `overlap`, () for both wherever either is off its support).
+
+        The walk orders its two heads with the witness's three-stage
+        `order`: an exactly equal pair enters the grid once (as self's
+        breakpoint); binary64 enclosures, computed once per breakpoint per
+        call, decide a separated pair; only an undecided pair reaches
+        certified `compare`, which raises PrecisionInsufficientError on a
+        near-tie."""
         w = default_witness()
         a, b = self.breakpoints, other.breakpoints
-        ka = [w.evaluate(x) for x in a]
-        kb = [w.evaluate(x) for x in b]
+        enclose, order = w.enclose, w.order
+        ea = [enclose(x) for x in a]
+        eb = [enclose(x) for x in b]
         n, m = len(a), len(b)
         i = j = 0
         grid, mine, theirs = [], [], []
         while i < n or j < m:
-            if j == m or i < n and ka[i] <= kb[j]:
+            if j == m:
+                sign = -1
+            elif i == n:
+                sign = 1
+            else:
+                sign = order(a[i], b[j], ea[i], eb[j])
+            if sign <= 0:
                 x = a[i]
                 i += 1
-                if j < m and b[j] == x:
+                if sign == 0:
                     j += 1
             else:
                 x = b[j]
                 j += 1
             grid.append(x)
-            mine.append(self._local(i, x, w))
-            theirs.append(other._local(j, x, w))
+            if overlap and not (0 < i < n and 0 < j < m):
+                mine.append(())
+                theirs.append(())
+            else:
+                mine.append(self._local(i, x, w))
+                theirs.append(other._local(j, x, w))
         return grid, mine[:-1], theirs[:-1]
 
     def _local(self, i: int, x: QAlpha, w) -> tuple:
@@ -287,7 +306,7 @@ class PiecewisePoly:
                                for a, b in zip(mine, theirs)])
 
     def __mul__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        grid, mine, theirs = self._aligned(other)
+        grid, mine, theirs = self._aligned(other, overlap=True)
         return _trimmed(grid, [tuple(K.poly_mul(list(a), list(b)))
                                if a and b else () for a, b in zip(mine, theirs)])
 

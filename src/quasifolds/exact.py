@@ -8,7 +8,10 @@ are Fractions built when read.  Order comparisons go through the
 process-wide default AlphaWitness — a high-precision decimal value for α
 used *only* to decide signs, never equality; a comparison whose value lies
 inside the witness safety margin, scaled by the size of its terms, raises
-instead of guessing.  Linear systems over Q are solved fraction-free over Z.
+instead of guessing.  `AlphaWitness.order` puts a binary64 filter with a
+proven error bound in front of that comparison, so well-separated values
+cost no Decimal arithmetic.  Linear systems over Q are solved fraction-free
+over Z.
 """
 
 from __future__ import annotations
@@ -372,6 +375,70 @@ class AlphaWitness:
     def to_float(self, x: QAlpha) -> float:
         return float(self.evaluate(x))
 
+    @functools.cached_property
+    def _float_terms(self) -> Optional[tuple]:
+        """(α_f, c1, c0) for `enclose`, derived once from the immutable
+        witness: α_f = float(α̂), c1 = 2⁻⁴⁹ + 4m and c0 = 2m, with m the
+        margin rounded up to a double; None when α_f is 0 or too far from 1
+        (|α_f| outside [2⁻⁹⁰⁰, 2⁹⁰⁰]) for its relative error to be one
+        rounding."""
+        alpha = float(self.value)
+        if not _FLOAT_ALPHA_MIN <= abs(alpha) <= _FLOAT_ALPHA_MAX:
+            return None
+        m = math.nextafter(float(self.margin), math.inf)
+        return alpha, 2.0 ** -49 + 4 * m, 2 * m
+
+    def enclose(self, x: QAlpha) -> Optional[tuple]:
+        """(v, r): a binary64 value v of x = (a + b·α̂)/d with radius r, or
+        None when |a|, |b| or d reaches 2⁵³ (or α̂ has no usable double).
+
+        Rule: for a signed sum of at most three enclosed values, summed in
+        floats from left to right, |Σ ±v| > Σ r certifies that the exact
+        sum at α̂ has the float sum's sign, and that `compare` returns that
+        sign for it without raising.
+
+        Derivation, with u = 2⁻⁵³ and |a|, |b|, d < 2⁵³ exact doubles:
+        α_f = α̂(1 + ε₀), and v = fl(fl(a + fl(b·α_f))/d) carries three more
+        roundings, so |v − x| ≤ γ₄·S* with γ₄ = 4u/(1 − 4u) and
+        S* = (|a| + |b·α̂|)/d.  The float S = (|a| + |fl(b·α_f)|)/d is at
+        least (1 − 4u)·S*, hence |v − x| < 8u·S = 2⁻⁵⁰·S.  The radius is
+        r = S·c1 + c0 = S·(2⁻⁴⁹ + 4m) + 2m, with m ≥ margin, computed with
+        at most three roundings.  For k ≤ 3 terms the float sum is off by at
+        most 2u·Σ|v| ≤ 2.1u·ΣS, and the float Σ r by a factor (1 ± 2u).
+        So |Σ ±v| > Σ r implies that the exact sum at α̂ has the same sign
+        and a size above (1 − 6u)·(2⁻⁴⁹ ΣS + 4m·ΣS + 2k·m) −
+        (2⁻⁵⁰ + 2.1u)·ΣS > 1.9·margin·(1 + ΣS*).  `compare` of that sum
+        measures its size as 1 + |p| + |q·α̂| ≤ 1 + ΣS*, and its
+        `digits` + 10-digit evaluation errs far below the margin, so it
+        neither raises nor disagrees.
+        """
+        terms = self._float_terms
+        if terms is None:
+            return None
+        a, b, d = x._t
+        if not (-_TWO_53 < a < _TWO_53 and -_TWO_53 < b < _TWO_53
+                and d < _TWO_53):
+            return None
+        alpha, c1, c0 = terms
+        t = b * alpha
+        return (a + t) / d, (abs(a) + abs(t)) / d * c1 + c0
+
+    def order(self, x: QAlpha, y: QAlpha, ex, ey) -> int:
+        """Sign of x − y in three stages: 0 for equal values; the sign of
+        vx − vy when the enclosures `ex`, `ey` (from `enclose`, or None)
+        separate; otherwise certified `compare`, which raises
+        PrecisionInsufficientError on a near-tie."""
+        if x == y:
+            return 0
+        if ex is not None and ey is not None:
+            gap = ex[0] - ey[0]
+            radius = ex[1] + ey[1]
+            if gap > radius:
+                return 1
+            if -gap > radius:
+                return -1
+        return self.compare(x, y)
+
     def compare(self, x: QAlpha, y=None) -> int:
         """Sign of x − y (−1, 0, +1); exact 0 only from equal coefficients.
 
@@ -401,6 +468,8 @@ def _decimal_context(prec: int) -> Context:
 
 
 _DECIMAL_ONE = Decimal(1)
+_TWO_53 = 2 ** 53
+_FLOAT_ALPHA_MIN, _FLOAT_ALPHA_MAX = 2.0 ** -900, 2.0 ** 900
 
 
 _DEFAULT_WITNESS: Optional[AlphaWitness] = None

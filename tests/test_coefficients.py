@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasifolds import _kernels as K
@@ -377,12 +377,13 @@ def _on_grid(f, grid, w):
     return out
 
 
-def _sorted_binary(f, g, add):
-    """_bits of f + g or f·g under the sort-based alignment."""
+def _sorted_op(f, g, add):
+    """f + g or f·g under the sort-based alignment, as a _Raw (or the zero
+    PiecewisePoly, or an operand returned as it is)."""
     if not f.breakpoints:
-        return _bits(g if add else PiecewisePoly())
+        return g if add else PiecewisePoly()
     if not g.breakpoints:
-        return _bits(f if add else PiecewisePoly())
+        return f if add else PiecewisePoly()
     grid, mine, theirs = _sorted_alignment(f, g)
     pieces = [tuple(K.poly_add(list(a), list(b))) if add
               else tuple(K.poly_mul(list(a), list(b))) if a and b else ()
@@ -393,7 +394,12 @@ def _sorted_binary(f, g, add):
     while pieces and all(c == 0 for c in pieces[-1]):
         pieces.pop()
         grid.pop()
-    return _bits(PiecewisePoly() if not pieces else _Raw(tuple(grid), pieces))
+    return PiecewisePoly() if not pieces else _Raw(tuple(grid), tuple(pieces))
+
+
+def _sorted_binary(f, g, add):
+    """_bits of f + g or f·g under the sort-based alignment."""
+    return _bits(_sorted_op(f, g, add))
 
 
 def _sorted_distance(f, g):
@@ -471,15 +477,29 @@ def operand_pairs(draw):
 
 class TestOrderedWalkMatchesSortedAlignment:
     """Sums, products and distances are bit for bit those of the sort-based
-    alignment, including where the witness's values tie (the Fibonacci
-    example, whose order the walk does not certify either)."""
+    alignment wherever the breakpoint order is certified."""
 
     @settings(max_examples=150, deadline=None)
     @given(operand_pairs())
-    @example((PiecewisePoly.constant_on(qa(0), qa(1), 1.0),
-              PiecewisePoly.constant_on(_fibonacci_near_tie(), qa(1), 1.0)))
     def test_add_mul_distance_bitwise(self, pair):
         f, g = pair
         assert _bits(f + g) == _sorted_binary(f, g, add=True)
         assert _bits(f * g) == _sorted_binary(f, g, add=False)
         assert f.distance(g).hex() == _sorted_distance(f, g).hex()
+
+
+class TestBreakpointNearTie:
+    """χ[0,1)·χ[x,1) with x = F₁₄₄·α − F₁₄₃ ≈ −8e-31: the 60-digit values of
+    0 and x are equal, so the sort-based alignment returns the grid
+    [0, x, 1] and support (x, 1) where the true support is (0, 1).  The walk
+    refuses the order instead of guessing it."""
+
+    @pytest.mark.parametrize("op", ["add", "mul", "distance"])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_walk_raises(self, op, swap):
+        f = PiecewisePoly.constant_on(qa(0), qa(1), 1.0)
+        g = PiecewisePoly.constant_on(_fibonacci_near_tie(), qa(1), 1.0)
+        if swap:
+            f, g = g, f
+        with pytest.raises(PrecisionInsufficientError):
+            {"add": f.__add__, "mul": f.__mul__, "distance": f.distance}[op](g)

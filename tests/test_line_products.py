@@ -1,0 +1,215 @@
+"""The line product is bitwise the per-pair product on the sort-based grid.
+
+`convolve_closed_form` on a `LineModel` skips the pairs whose supports the
+witness's float enclosures prove disjoint, and multiplies the rest through
+the ordered breakpoint walk, which Taylor-shifts only where both factors
+are live.  The oracle here is the per-pair sum Σ f_a(· + s)·g_s in
+(s outer, a inner) order, with every product and every sum aligned by the
+sort-based alignment of `test_coefficients` (a hash-set union of the
+breakpoints sorted on witness values), so it shares no code with the walk
+or the skip.  Keys, key order, breakpoints and every coefficient's real and
+imaginary parts are compared as packed doubles.
+"""
+
+import random
+import struct
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quasifolds.algebra import (AlgebraElement, LineModel,
+                                convolve_closed_form, involute,
+                                random_line_element)
+from quasifolds.catalog import z_alpha_lattice
+from quasifolds.coefficients import PiecewisePoly
+from quasifolds.exact import default_witness, qa, set_default_witness
+from test_coefficients import W, _Raw, _sorted_op
+from test_filtered_order import SQRT2_80
+
+MODEL = LineModel(z_alpha_lattice())
+
+
+def per_pair(f: AlgebraElement, g: AlgebraElement) -> list:
+    """[(key, breakpoints, pieces)] of f·g, summed pair by pair on the
+    sort-based grid, zero keys dropped, in report order."""
+    out = {}
+    for s, cs in g.support:
+        for a, ca in f.support:
+            shifted = _Raw(tuple(b - s for b in ca.breakpoints), ca.pieces)
+            term = _sorted_op(shifted, cs, add=False)
+            key = a + s
+            out[key] = _sorted_op(out[key], term, add=True) \
+                if key in out else term
+    live = [(k, c) for k, c in out.items()
+            if any(x != 0 for p in c.pieces for x in p)]
+    live.sort(key=lambda kc: kc[0].sort_key())
+    return [(k, tuple(c.breakpoints), packed_pieces(c)) for k, c in live]
+
+
+def packed_pieces(c) -> tuple:
+    return tuple(tuple(struct.pack("dd", x.real, x.imag) for x in p)
+                 for p in c.pieces)
+
+
+def packed(e: AlgebraElement) -> list:
+    return [(k, c.breakpoints, packed_pieces(c)) for k, c in e.support]
+
+
+def assert_bitwise(f, g):
+    got = convolve_closed_form(f, g)
+    assert packed(got) == per_pair(f, g)
+    return got
+
+
+def element(entries):
+    return AlgebraElement(MODEL, tuple(
+        (k, PiecewisePoly(tuple(bps), tuple(pieces)))
+        for k, bps, pieces in entries))
+
+
+# ---------------------------------------------------------------------------
+# the acceptance corpus (criterion-03/04): pairs, products of products and
+# involutes
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def corpus():
+    rng = random.Random(31)
+    return [random_line_element(rng, MODEL, n_keys=5, degree=8)
+            for _ in range(200)]
+
+
+def test_corpus_pairs(corpus):
+    for f, g in zip(corpus, corpus[1:]):
+        assert_bitwise(f, g)
+
+
+def test_corpus_products_of_products_and_involutes(corpus):
+    for i in range(0, 90, 3):
+        f, g, h = corpus[i:i + 3]
+        fg = assert_bitwise(f, g)
+        gh = assert_bitwise(g, h)
+        assert_bitwise(fg, h)
+        assert_bitwise(f, gh)
+        assert_bitwise(involute(g), involute(f))
+
+
+# ---------------------------------------------------------------------------
+# edge cases
+# ---------------------------------------------------------------------------
+
+def test_empty_factors():
+    f = random_line_element(random.Random(1), MODEL)
+    zero = AlgebraElement(MODEL)
+    for x, y in ((zero, f), (f, zero), (zero, zero)):
+        assert assert_bitwise(x, y).is_zero
+
+
+def test_disjoint_supports_give_zero_without_a_shift(monkeypatch):
+    f = element([(qa(n, 1), (qa(0), qa(1)), [(1.0, 0.5j)]) for n in (0, 1)])
+    g = element([(qa(0, m), (qa(20), qa(21)), [(2.0,)]) for m in (-1, 0)])
+    shifts = []
+    original = PiecewisePoly.shift_arg
+
+    def counting(self, s):
+        shifts.append(s)
+        return original(self, s)
+
+    monkeypatch.setattr(PiecewisePoly, "shift_arg", counting)
+    assert assert_bitwise(f, g).is_zero
+    assert assert_bitwise(g, f).is_zero
+    assert shifts == []
+
+
+def test_supports_that_touch_exactly():
+    # f(· + 1) lives on [−1, 0] and g_1 on [0, 1]; f(· + α) on
+    # [−α, 1 − α] and g_α on [1 − α, 2 − α]: hi − s == lo
+    f = element([(qa(0), (qa(0), qa(1)), [(1.0, 2.0)])])
+    g = element([(qa(1), (qa(0), qa(1)), [(3.0, -1j)]),
+                 (qa(0, 1), (qa(1, -1), qa(2, -1)), [(1j,)])])
+    assert assert_bitwise(f, g).is_zero
+    assert_bitwise(g, f)
+
+
+def test_keys_whose_only_contributions_are_zero():
+    # key 1: two products that cancel exactly; keys 0 and 2: supports that
+    # touch; keys 5α and 5α − 1: disjoint supports
+    f = element([(qa(1), (qa(0), qa(1)), [(1.0, 1j)]),
+                 (qa(2), (qa(-1), qa(0)), [(1.0, 1j)]),
+                 (qa(0, 5), (qa(10), qa(11)), [(2.0,)])])
+    g = element([(qa(0), (qa(0), qa(1)), [(3.0, -1.0)]),
+                 (qa(-1), (qa(0), qa(1)), [(-3.0, 1.0)])])
+    assert assert_bitwise(f, g).is_zero
+
+
+def test_fractional_and_alpha_breakpoints():
+    third, half = qa(Fraction(1, 3)), qa(Fraction(1, 2))
+    f = element([(qa(0, 1), (qa(0), third, qa(0, 1), qa(1)),
+                  [(1.0, -0.5), (0.25j, 1.0, 0.5), (2.0,)]),
+                 (qa(-1, 2), (half + qa(0, -1), half, qa(1, 1)),
+                  [(1 - 1j,), (0.5, 0.5)])])
+    g = element([(qa(1, -1), (qa(Fraction(-1, 4), 1), qa(Fraction(2, 3), 1)),
+                  [(1.0, 1.0, 1.0)]),
+                 (qa(0), (qa(0), third, qa(1, 1)), [(1j,), (-2.0, 0.125)])])
+    assert_bitwise(f, g)
+    assert_bitwise(g, f)
+
+
+def test_shifted_breakpoints_that_coincide_with_the_other_factors():
+    # s = 1 + α moves f's grid {α, 1/2 + α, 1 + α, 3/2 + α} onto
+    # {−1, −1/2, 0, 1/2}, two of which are g's breakpoints
+    bps = (qa(0, 1), qa(Fraction(1, 2), 1), qa(1, 1), qa(Fraction(3, 2), 1))
+    f = element([(qa(0), bps, [(1.0, 0.5), (2j,), (0.25, -1.0, 0.5)])])
+    g = element([(qa(1, 1), (qa(0), qa(Fraction(1, 2)), qa(1)),
+                  [(1.0, 1j), (-0.5,)])])
+    ((_, c),) = assert_bitwise(f, g).support
+    assert c.breakpoints == (qa(0), qa(Fraction(1, 2)))
+
+
+def test_breakpoints_without_a_float_enclosure():
+    # a denominator past 2⁵³ sends the walk and the skip to certified
+    # `compare`, with the same bits
+    tiny = qa(Fraction(1, 2 ** 60))
+    f = element([(qa(0), (qa(0), tiny, qa(1)), [(1.0,), (2.0, 1j)])])
+    g = element([(qa(0), (tiny, qa(1)), [(3.0,)]),
+                 (qa(5), (qa(-4), qa(-3)), [(1.0,)])])
+    assert W.enclose(tiny) is None
+    assert_bitwise(f, g)
+    assert_bitwise(g, f)
+
+
+# ---------------------------------------------------------------------------
+# random elements, under the golden witness and under √2 − 1
+# ---------------------------------------------------------------------------
+
+parts = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+pieces = st.lists(st.builds(complex, parts, parts), min_size=1,
+                  max_size=3).map(tuple)
+points = st.builds(qa, st.fractions(min_value=-3, max_value=3,
+                                    max_denominator=4), st.integers(-2, 2))
+
+
+@st.composite
+def coefficients(draw):
+    bps = sorted(draw(st.sets(points, min_size=2, max_size=4)),
+                 key=lambda x: default_witness().evaluate(x))
+    return PiecewisePoly(tuple(bps), tuple(
+        draw(pieces) for _ in range(len(bps) - 1)))
+
+
+@st.composite
+def elements(draw):
+    keys = draw(st.lists(st.builds(qa, st.integers(-3, 3),
+                                   st.integers(-2, 2)), max_size=4))
+    return AlgebraElement(MODEL, tuple((k, draw(coefficients()))
+                                       for k in keys))
+
+
+@pytest.mark.parametrize("witness", [W, SQRT2_80], ids=["golden", "sqrt2"])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_elements(witness, data):
+    set_default_witness(witness)
+    assert_bitwise(data.draw(elements()), data.draw(elements()))
