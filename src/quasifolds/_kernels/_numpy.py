@@ -11,7 +11,8 @@ coefficients each mode comes out with the same bits as the per-pair route:
   computed once per shift instead of once per pair;
 * `_ref.poly_mul` adds u·v into out[i + j] with i (the left factor's index)
   outer; here one numpy pass per i adds the products of every pair at once;
-* pair results are added into their output rows in pair order.
+* pair results are added into their output rows in pair order, by one
+  `np.add.at`, which adds repeated indices one at a time in index order.
 
 Complex products are written out in float64 real and imaginary parts
 (re = ar·br − ai·bi, im = ar·bi + ai·br), CPython's formula.  numpy's
@@ -66,19 +67,9 @@ def circle_convolve(f_off, f_rows, g_rows, shifts, slots, n_slots):
     for i in range(n):
         prod[:, i:i + m] += ar[i] * v_re + ai[i] * v_im
 
-    # round r adds every row's r-th pair, so each row sums in pair order
-    rounds = []
-    seen = [0] * n_slots
-    for p, row in enumerate(slots):
-        r = seen[row]
-        seen[row] += 1
-        if r == len(rounds):
-            rounds.append(([], []))
-        rounds[r][0].append(p)
-        rounds[r][1].append(row)
+    # unbuffered: a row that several pairs share receives them in pair order
     out = np.zeros((2, width, n_slots))
-    for pairs, rows in rounds:
-        out[..., rows] += prod[..., pairs]
+    np.add.at(out, (slice(None), slice(None), slots), prod)
     result = np.empty((n_slots, width), dtype=complex)
     result.real, result.imag = out.transpose(0, 2, 1)
     return result.tolist()

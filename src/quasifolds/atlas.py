@@ -3,6 +3,8 @@
 A chart is a domain in R^n together with the countable affine group Γ that
 identifies points with the same image in the quasifold; a transition is a
 declared affine germ between chart domains compatible with the chart maps.
+An atlas keeps only the declared transitions that add arrows: identity
+self-transitions are dropped, and no transition is implied.
 The structure groupoid has the disjoint union of chart domains as objects and
 germs of ev-absorbed local diffeomorphisms as arrows, each represented by a
 globally affine map.  However a `StructureGroupoid` is built
@@ -30,7 +32,8 @@ from typing import Optional, Sequence
 
 from .errors import (InconclusiveAtBoundError, InconsistentTransitionError,
                      PrecisionInsufficientError, QuasifoldError)
-from .exact import AffineElement, QAlpha, Trit, default_witness, vec_eq
+from .exact import (AffineElement, QAlpha, Trit, default_witness, mat_vec,
+                    vec_eq)
 from .groupoid import Arrow, NebulaPoint, arrow_invert
 from .groups import (FiniteMatrixGroup, GroupPresentation,
                      RationalTranslations, TranslationLattice, breadth_first,
@@ -127,19 +130,18 @@ class Atlas:
         if len(dims) != 1:
             raise QuasifoldError("charts of mixed dimension")
         n = dims.pop()
-        trans = list(self.transitions)
+        trans = tuple(self.transitions)
         for t in trans:
             if t.src not in ids or t.dst not in ids:
                 raise QuasifoldError(f"transition references unknown chart: {t}")
             if t.map.n != n:
                 raise QuasifoldError("transition dimension mismatch")
-        # the transition graph always contains each chart's identity transition
-        for c in charts:
-            if not any(t.src == c.id and t.dst == c.id and t.map.is_identity
-                       for t in trans):
-                trans.append(Transition(c.id, c.id, AffineElement.identity(n)))
+        # an identity self-transition adds no arrow: the group layers of a
+        # chart already hold the identity
+        trans = tuple(t for t in trans
+                      if not (t.src == t.dst and t.map.is_identity))
         object.__setattr__(self, "charts", charts)
-        object.__setattr__(self, "transitions", tuple(trans))
+        object.__setattr__(self, "transitions", trans)
 
     @property
     def dimension(self) -> int:
@@ -200,10 +202,7 @@ class _Coset:
 
     def moved(self, chart: str, m: AffineElement) -> "_Coset":
         """Image of the coset under the affine map m, placed in `chart`."""
-        gens = tuple(
-            tuple(sum((x.scale(m.a[i][j]) for j, x in enumerate(vec)), QAlpha())
-                  for i in range(m.n))
-            for vec in self.gens)
+        gens = tuple(mat_vec(m.a, vec) for vec in self.gens)
         return _Coset(chart, m.apply(self.base), gens, self.rational_full)
 
 
@@ -289,8 +288,6 @@ class StructureGroupoid:
 
     def __init__(self, atlas: Atlas):
         for t in atlas.transitions:
-            if t.map.is_identity and t.src == t.dst:
-                continue
             src, dst = atlas.chart(t.src), atlas.chart(t.dst)
             if _overlap_sample(src, dst, t.map) is None:
                 raise InconsistentTransitionError(
@@ -345,8 +342,6 @@ class StructureGroupoid:
             chart_id, m = state
             pt = m.apply(v.coords)
             for dst, tmap in self._letters.get(chart_id, ()):
-                if tmap.is_identity and dst == chart_id:
-                    continue
                 if self.atlas.chart(dst).contains(tmap.apply(pt)):
                     yield from group_layer(dst, tmap.compose(m))
 
@@ -403,8 +398,6 @@ class StructureGroupoid:
         walk did not close within ROUTE_CAP transition layers."""
         def step(coset):
             for dst, tmap in self._letters.get(coset.chart, ()):
-                if tmap.is_identity and dst == coset.chart:
-                    continue
                 yield from _saturate(coset.moved(dst, tmap),
                                      self.atlas.chart(dst).group)
 

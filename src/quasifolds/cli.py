@@ -31,7 +31,7 @@ from .errors import (FibersIncompatibleError, InconclusiveAtBoundError,
                      PrecisionInsufficientError, QuasifoldError)
 from .exact import (AlphaWitness, QAlpha, compare, default_witness, qa,
                     set_default_witness)
-from .groupoid import NebulaPoint, arrow_compose
+from .groupoid import Arrow, NebulaPoint, arrow_compose
 from .groups import RationalTranslations
 from .serialize import canonical_dumps, load_atlas_file, load_biatlas_file
 
@@ -454,10 +454,8 @@ def cmd_morita(args, cfg) -> dict:
     # (i) unit laws
     bad = 0
     for z in germs:
-        unit_left = G.arrows_between(z.src, z.src, 0)
-        unit_right = Gp.arrows_between(z.trg, z.trg, 0)
-        uz = bim.left_act(unit_left[0], z) if unit_left else None
-        zu = bim.right_act(z, unit_right[0]) if unit_right else None
+        uz = bim.left_act(Arrow.unit(z.src), z)
+        zu = bim.right_act(z, Arrow.unit(z.trg))
         if uz != z or zu != z:
             bad += 1
             failures.append({"axiom": "unit", "germ": z.to_json()})

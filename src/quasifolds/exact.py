@@ -10,8 +10,9 @@ used *only* to decide signs, never equality; a comparison whose value lies
 inside the witness safety margin, scaled by the size of its terms, raises
 instead of guessing.  `AlphaWitness.order` puts a binary64 filter with a
 proven error bound in front of that comparison, so well-separated values
-cost no Decimal arithmetic.  Linear systems over Q are solved fraction-free
-over Z.
+cost no Decimal arithmetic.  Linear systems, determinants and inverses over
+Q come from one fraction-free elimination over Z, and every affine map
+applies its linear part through one matrix–vector product.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "set_default_witness",
     "mat_identity",
     "mat_mul",
+    "mat_vec",
     "mat_det",
     "mat_inv",
     "solve_linear",
@@ -531,73 +533,42 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_det(a: Matrix) -> Fraction:
-    n = len(a)
-    m = [list(row) for row in a]
-    det = _ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return _ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+def mat_vec(a: Matrix, vec: Sequence[QAlpha]) -> tuple:
+    """a·vec for a rational matrix a and a vector over Q + Qα."""
+    return tuple(sum((x.scale(c) for c, x in zip(row, vec)), QAlpha())
+                 for row in a)
 
 
-def mat_inv(a: Matrix) -> Matrix:
-    n = len(a)
-    m = [list(row) + [(_ONE if i == j else _ZERO) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def _cleared_row(row: Sequence, r) -> list:
-    """row + [r] times the lcm of their denominators: a list of ints."""
+def _cleared_row(row: Sequence) -> tuple:
+    """The row times the lcm of its denominators, as a list of ints, and
+    that lcm."""
     vals = [x if x.__class__ is int or x.__class__ is Fraction else Fraction(x)
-            for x in (*row, r)]
+            for x in row]
     lcm = math.lcm(*[x.denominator for x in vals])
-    return [x.numerator * (lcm // x.denominator) for x in vals]
+    return [x.numerator * (lcm // x.denominator) for x in vals], lcm
 
 
-def solve_linear(a: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve a·x = rhs exactly. Returns ("unique", x), ("none", None) or
-    ("many", particular_solution).
+def _eliminate(m: list, cols: int) -> tuple:
+    """Gauss–Jordan on the integer rows m, in place, over their first `cols`
+    columns: (pivot columns, last pivot, parity of the row swaps as ±1).
 
-    Gauss–Jordan with the leftmost nonzero pivot of each column and the free
-    variables set to zero, run fraction-free over ℤ (Bareiss, Math. Comp. 22,
-    1968): each row is cleared of denominators, and each elimination step
-    divides exactly by the previous pivot.  Every pivot entry then equals the
-    last pivot, so x costs one division per pivot at the end.
+    Each column takes the leftmost nonzero pivot at or below the current
+    row.  The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
+    each step divides exactly by the previous pivot, so every pivot entry
+    ends equal to the last pivot, and for a square matrix of full rank the
+    last pivot is ± its determinant, the sign being the swap parity.
     """
-    rows, cols = len(a), len(a[0]) if a else 0
-    m = [_cleared_row(row, rhs[i]) for i, row in enumerate(a)]
+    rows = len(m)
     pivots = []
     r = 0
-    prev = 1
+    prev = sign = 1
     for c in range(cols):
         pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
         top = m[r]
         p = top[c]
         for i in range(rows):
@@ -610,12 +581,48 @@ def solve_linear(a: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
         r += 1
         if r == rows:
             break
-    for i in range(r, rows):
+    return pivots, prev, sign
+
+
+def mat_det(a: Matrix) -> Fraction:
+    """Determinant of a square matrix: ± the last pivot of `_eliminate` over
+    the product of the row lcms, and 0 below full rank."""
+    cleared = [_cleared_row(row) for row in a]
+    pivots, last, sign = _eliminate([row for row, _ in cleared], len(a))
+    if len(pivots) < len(a):
+        return _ZERO
+    return Fraction(sign * last, math.prod(lcm for _, lcm in cleared))
+
+
+def mat_inv(a: Matrix) -> Matrix:
+    """Inverse of a square matrix, by eliminating [a | I]; raises
+    ZeroDivisionError("singular matrix") below full rank."""
+    n = len(a)
+    m = [_cleared_row((*row, *(int(i == j) for j in range(n))))[0]
+         for i, row in enumerate(a)]
+    pivots, last, _ = _eliminate(m, n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(Fraction(x, last) for x in row[n:]) for row in m)
+
+
+def solve_linear(a: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
+    """Solve a·x = rhs exactly. Returns ("unique", x), ("none", None) or
+    ("many", particular_solution).
+
+    `_eliminate` on [a | rhs], with the free variables set to zero: every
+    pivot entry ends equal to the last pivot, so x costs one division per
+    pivot.
+    """
+    rows, cols = len(a), len(a[0]) if a else 0
+    m = [_cleared_row((*row, rhs[i]))[0] for i, row in enumerate(a)]
+    pivots, last, _ = _eliminate(m, cols)
+    for i in range(len(pivots), rows):
         if m[i][cols]:
             return "none", None
     x = [_ZERO] * cols
     for row_idx, c in enumerate(pivots):
-        x[c] = Fraction(m[row_idx][cols], prev)
+        x[c] = Fraction(m[row_idx][cols], last)
     return ("unique" if len(pivots) == cols else "many"), x
 
 
@@ -675,9 +682,8 @@ class AffineElement:
                 return _affine(other.a, (other.b[0] + self.b[0],))
             a = self.a if t == 1 else ((s * t,),)
             return _affine(a, (other.b[0].scale(s) + self.b[0],))
-        a = mat_mul(self.a, other.a)
-        b = tuple(self._apply_linear(other.b, i) + self.b[i] for i in range(n))
-        return _affine(a, b)
+        b = tuple(x + y for x, y in zip(mat_vec(self.a, other.b), self.b))
+        return _affine(mat_mul(self.a, other.a), b)
 
     def invert(self) -> "AffineElement":
         if len(self.b) == 1:
@@ -687,12 +693,7 @@ class AffineElement:
             inv = 1 / s
             return _affine(((inv,),), (-self.b[0].scale(inv),))
         inv = mat_inv(self.a)
-        neg = tuple(-x for x in self.b)
-        b = tuple(
-            sum((neg[j].scale(inv[i][j]) for j in range(self.n)), QAlpha())
-            for i in range(self.n)
-        )
-        return _affine(inv, b)
+        return _affine(inv, tuple(-x for x in mat_vec(inv, self.b)))
 
     def apply(self, x: Sequence) -> tuple:
         if len(self.b) == 1 and len(x) == 1:
@@ -704,10 +705,7 @@ class AffineElement:
         x = tuple(_as_qalpha(v) for v in x)
         if len(x) != self.n:
             raise DimensionMismatchError("point dimension mismatch")
-        return tuple(self._apply_linear(x, i) + self.b[i] for i in range(self.n))
-
-    def _apply_linear(self, vec, i) -> QAlpha:
-        return sum((vec[j].scale(self.a[i][j]) for j in range(self.n)), QAlpha())
+        return tuple(y + z for y, z in zip(mat_vec(self.a, x), self.b))
 
     @property
     def is_identity(self) -> bool:
@@ -770,17 +768,15 @@ def affine_from_point_images(points: Sequence[Sequence], images: Sequence[Sequen
     if any(not v.is_rational for p in pts for v in p):
         raise ValueError("anchor points must be rational for exact recovery")
     d = [[(pts[k + 1][j] - pts[0][j]).p for k in range(n)] for j in range(n)]
-    if mat_det(_freeze_matrix(d)) == 0:
-        raise ValueError("points are affinely dependent")
-    d_inv = mat_inv(_freeze_matrix(d))
+    try:
+        d_inv = mat_inv(_freeze_matrix(d))
+    except ZeroDivisionError:
+        raise ValueError("points are affinely dependent") from None
     e = [tuple(ims[k + 1][j] - ims[0][j] for j in range(n)) for k in range(n)]
     if any(not v.is_rational for col in e for v in col):
         raise ValueError("image differences must be rational (rational linear part)")
     # A·D = E with D columns = point differences: A = E·D⁻¹
     e_mat = _freeze_matrix([[e[k][j].p for k in range(n)] for j in range(n)])
     a = mat_mul(e_mat, d_inv)
-    ax0 = tuple(
-        sum((pts[0][j].scale(a[i][j]) for j in range(n)), QAlpha()) for i in range(n)
-    )
-    b = tuple(ims[0][i] - ax0[i] for i in range(n))
+    b = tuple(y - x for x, y in zip(mat_vec(a, pts[0]), ims[0]))
     return AffineElement(a, b)

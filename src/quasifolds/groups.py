@@ -432,23 +432,29 @@ def membership_status(group: GroupPresentation, g: AffineElement, bound: int) ->
 
 def require_intertwines(m: AffineElement, src: GroupPresentation,
                         dst: GroupPresentation, what: str) -> None:
-    """Spot-check that m carries src into dst: m·γ·m⁻¹ ∈ dst for each γ of
-    one finite sample of src (the generators of a lattice or generated
-    group, every element of a finite group, e_i/k for k = 1, 2, 3 for the
-    rational translations).  Only a certified FALSE raises
-    InconsistentTransitionError; it never depends on the membership bound,
-    so membership is asked at bound 0 and an inconclusive answer passes."""
+    """Check that m carries src into dst, raising
+    InconsistentTransitionError when it certifiably does not.
+
+    The rational translations pass only into the rational translations:
+    m·Qⁿ·m⁻¹ = Qⁿ for a rational linear part, and no lattice, finite group
+    or finitely generated linear group contains the divisible group Q
+    (Mal'cev 1940).  Any other src is checked on a finite sample whose
+    conjugates generate m·src·m⁻¹: the generators of a lattice or generated
+    group, every element of a finite group.  There only a certified FALSE
+    m·γ·m⁻¹ ∉ dst raises; it never depends on the membership bound, so
+    membership is asked at bound 0 and an inconclusive answer passes."""
+    if isinstance(src, RationalTranslations):
+        if not isinstance(dst, RationalTranslations):
+            raise InconsistentTransitionError(
+                f"{what} does not intertwine the groups: the rational "
+                f"translations fit in no {type(dst).__name__}")
+        return
     if isinstance(src, TranslationLattice):
         sample = [AffineElement.translation(g) for g in src.generators]
     elif isinstance(src, FiniteMatrixGroup):
         sample = src.elements
     elif isinstance(src, GeneratedGroup):
         sample = src.generators
-    elif isinstance(src, RationalTranslations):
-        n = src.dimension
-        sample = [AffineElement.translation(tuple(
-            QAlpha(Fraction(1, k) if i == axis else 0) for i in range(n)))
-            for k in (1, 2, 3) for axis in range(n)]
     else:
         sample = ()
     inv = m.invert()

@@ -84,8 +84,7 @@ def atlas_to_json(atlas: Atlas) -> dict:
             "label": c.label,
         })
     transitions = [{"src": t.src, "dst": t.dst, "map": t.map.to_json()}
-                   for t in atlas.transitions
-                   if not (t.src == t.dst and t.map.is_identity)]
+                   for t in atlas.transitions]
     return {"charts": charts, "transitions": transitions}
 
 

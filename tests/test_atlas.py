@@ -14,7 +14,8 @@ from quasifolds.atlas import (Atlas, Chart, CircleArrow, Interval, _Coset,
 from quasifolds.catalog import (get_atlas, get_biatlas,
                                 rational_quotient_atlas,
                                 reflection_orbifold_atlas, t_alpha_atlas,
-                                t_alpha_duplicated_atlas, z_alpha_lattice)
+                                t_alpha_duplicated_atlas, two_scale_lattice,
+                                z_alpha_lattice)
 from quasifolds.errors import (InconsistentTransitionError, NotComposableError,
                                QuasifoldError)
 from quasifolds.exact import AffineElement, Trit, qa
@@ -61,6 +62,32 @@ class TestAtlasValidation:
                       (Transition("a", "b", bad),))
         with pytest.raises(InconsistentTransitionError):
             build(atlas)
+
+    def test_rational_chart_into_a_halved_lattice_chart_is_refused(self):
+        """q → h = x ↦ −3x conjugates t_1/k ∈ Q to t_−3/k, which lies in
+        ½(Z+αZ) for k = 1, 2, 3, so a sample of Q misses it; accepted, the
+        atlas would make h:0 and h:3/4 the same point, though 3/4 is not
+        in ½(Z+αZ)."""
+        half = two_scale_lattice()
+        atlas = Atlas((Chart("q", RationalTranslations(1)),
+                       Chart("h", half)),
+                      (Transition("q", "h",
+                                  AffineElement.linear(((Fraction(-3),),))),))
+        assert half.contains_value((qa(Fraction(3, 4)),)) is Trit.FALSE
+        with pytest.raises(InconsistentTransitionError):
+            StructureGroupoid(atlas)
+
+    def test_identity_self_transitions_are_dropped(self):
+        lat = z_alpha_lattice()
+        shift = AffineElement.translation((qa(1),))
+        atlas = Atlas((Chart("a", lat), Chart("b", lat)),
+                      (Transition("a", "a", AffineElement.identity(1)),
+                       Transition("a", "b", AffineElement.identity(1)),
+                       Transition("b", "b", shift)))
+        assert atlas.transitions == (
+            Transition("a", "b", AffineElement.identity(1)),
+            Transition("b", "b", shift))
+        assert Atlas((Chart("a", lat),)).transitions == ()
 
     def test_builtin_atlases_build(self):
         for name in ("t-alpha", "t-alpha-duplicated", "reflection-orbifold",

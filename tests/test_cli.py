@@ -10,11 +10,14 @@ from fractions import Fraction
 import pytest
 
 from quasifolds.atlas import Atlas, Chart, Transition
+from quasifolds.bimodule import BiAtlas, LinkingGerm
 from quasifolds.catalog import get_biatlas, z_alpha_lattice
 from quasifolds.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS,
                             EXIT_USAGE, UsageError, main, resolve_biatlas)
 from quasifolds.errors import InconsistentTransitionError
-from quasifolds.exact import AffineElement, default_witness
+from quasifolds.exact import AffineElement, default_witness, qa
+from quasifolds.groupoid import NebulaPoint
+from quasifolds.groups import FiniteMatrixGroup
 from quasifolds.serialize import (atlas_to_json, biatlas_to_json,
                                   load_biatlas_file, save_json)
 
@@ -398,3 +401,20 @@ class TestCommandContent:
         names = {c["name"] for c in report["checks"]}
         assert any("unit" in n for n in names)
         assert any("commute" in n for n in names)
+
+    def test_morita_unit_laws_use_the_unit_arrow(self, capsys, tmp_path):
+        """At a fixed point of a finite group that does not list the
+        identity first, the first arrow x → x of a word search is a rotation,
+        not the unit."""
+        rho = AffineElement.linear(((0, -1), (1, -1)))
+        group = FiniteMatrixGroup((rho, rho.compose(rho),
+                                   AffineElement.identity(2)))
+        atlas = Atlas((Chart("c", group),))
+        seed = LinkingGerm(NebulaPoint("c", (qa(0), qa(0))),
+                           AffineElement.identity(2), "c")
+        path = tmp_path / "rotation-biatlas.json"
+        save_json(path, biatlas_to_json(BiAtlas(atlas, atlas, (seed,))))
+        code, report, _ = run_json(capsys, "morita", "--biatlas", str(path))
+        unit = next(c for c in report["checks"] if c["name"] == "unit-laws")
+        assert unit["status"] == "pass"
+        assert code == EXIT_PASS

@@ -11,7 +11,7 @@ from quasifolds.errors import PrecisionInsufficientError
 from quasifolds.exact import (AffineElement, AlphaWitness, QAlpha, Trit,
                               affine_from_point_images, compare,
                               default_witness, mat_det, mat_inv, mat_mul,
-                              qa, solve_linear, vec_eq)
+                              mat_vec, qa, solve_linear, vec_eq)
 
 
 class TestQAlpha:
@@ -166,7 +166,71 @@ def gauss_jordan_oracle(a, rhs):
     return ("unique" if len(pivots) == cols else "many"), x
 
 
+def det_oracle(a):
+    """Determinant by Gaussian elimination over Fraction: the `mat_det` used
+    before one fraction-free elimination served all three routines."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] * inv
+            if factor:
+                for c in range(col, n):
+                    m[r][c] -= factor * m[col][c]
+    return det
+
+
+def inv_oracle(a):
+    """Inverse by Gauss–Jordan on [a | I] over Fraction: the `mat_inv` used
+    before one fraction-free elimination served all three routines."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def square_matrices(draw):
+    """n×n rational matrices, n ≤ 4, with zero rows, repeated rows and
+    leading zeros that force row swaps."""
+    n = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["random", "random", "zero", "repeat",
+                                     "leading-zero"]))
+        if kind == "zero":
+            row = [Fraction(0)] * n
+        elif kind == "repeat" and rows:
+            row = list(rows[draw(st.integers(0, len(rows) - 1))])
+        else:
+            row = [draw(small_fractions) for _ in range(n)]
+            if kind == "leading-zero":
+                row[0] = Fraction(0)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @st.composite
@@ -218,6 +282,39 @@ class TestMatrices:
         assert got == gauss_jordan_oracle(a, rhs)
         if got[1] is not None:
             assert all(type(x) is Fraction for x in got[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices(), st.data())
+    def test_det_inv_solve_match_fraction_elimination(self, m, data):
+        det = mat_det(m)
+        assert type(det) is Fraction and det == det_oracle(m)
+        try:
+            expected = inv_oracle(m)
+        except ZeroDivisionError:
+            assert det == 0
+            with pytest.raises(ZeroDivisionError, match="singular matrix"):
+                mat_inv(m)
+        else:
+            got = mat_inv(m)
+            assert got == expected
+            assert all(type(x) is Fraction for row in got for x in row)
+        rhs = [data.draw(small_fractions) for _ in m]
+        assert solve_linear(m, rhs) == gauss_jordan_oracle(m, rhs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(small_fractions, min_size=n, max_size=n),
+                 min_size=1, max_size=4),
+        st.lists(st.tuples(small_fractions, small_fractions),
+                 min_size=n, max_size=n))))
+    def test_mat_vec_is_the_row_sum(self, case):
+        a, pairs = case
+        vec = [qa(p, q) for p, q in pairs]
+        expected = tuple(
+            qa(sum((c * v.p for c, v in zip(row, vec)), Fraction(0)),
+               sum((c * v.q for c, v in zip(row, vec)), Fraction(0)))
+            for row in a)
+        assert mat_vec(a, vec) == expected
 
     def test_solve_accepts_mixed_int_and_fraction_entries(self):
         a = [[2, Fraction(1, 3)], [Fraction(-1, 2), 4]]
