@@ -84,6 +84,19 @@ def _part_hash(n: int, d: int) -> int:
     return -2 if h == -1 else h
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction: "n" or
+    "n/d" in lowest terms."""
+    if d != 1:
+        g = math.gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+        if d != 1:
+            return f"{n}/{d}"
+    return str(n)
+
+
 class QAlpha:
     """p + q·α with p, q rational; equality and hash are coefficientwise.
 
@@ -247,11 +260,11 @@ class QAlpha:
     def __str__(self) -> str:
         a, b, d = self._t
         if not b:
-            return str(Fraction(a, d))
-        q = str(Fraction(b, d))
+            return _ratio_text(a, d)
+        q = _ratio_text(b, d)
         if not a:
             return f"α*{q}"
-        return f"{str(Fraction(a, d))}+α*{q}"
+        return f"{_ratio_text(a, d)}+α*{q}"
 
     __repr__ = __str__
 

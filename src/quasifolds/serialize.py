@@ -162,9 +162,83 @@ def element_from_json(obj: dict) -> AlgebraElement:
 
 # -- files --------------------------------------------------------------------
 
+_encode_str = json.encoder.encode_basestring
+_int_text = int.__repr__
+_float_repr = float.__repr__
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return _float_repr(x)
+
+
+def _append(value, out: list, indent: str) -> None:
+    """Append the canonical text of value to out; indent is the newline and
+    spaces that start value's own line."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(_int_text(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _append(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(
+                    f"keys must be str, not {key.__class__.__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            _append(value[key], out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} "
+                        "is not JSON serializable")
+
+
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, newline end."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Canonical JSON text of obj, ending in a newline.
+
+    The text is exactly `json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\\n"`: keys sorted, two-space indent, "," and
+    ": " separators, non-ASCII characters written as themselves, and NaN,
+    Infinity and -Infinity for the non-finite floats.  It is built in one
+    recursive pass, because `json.dumps` with an indent runs its
+    pure-Python encoder.  obj may nest dicts with str keys, lists, tuples,
+    str, int, float, bool and None; any other value, and any other key
+    type, raises TypeError.
+    """
+    out = []
+    _append(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def save_json(path, obj):

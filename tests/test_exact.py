@@ -43,6 +43,27 @@ class TestQAlpha:
         for v in (qa(0), qa(Fraction(-7, 3)), qa(0, 2), qa(Fraction(1, 2), -1)):
             assert QAlpha.parse(str(v)) == v
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(), st.integers(min_value=1),
+           st.integers(), st.integers(min_value=1),
+           st.sampled_from([1, 10 ** 30]))
+    def test_str_matches_fraction_text(self, n, d, m, e, big):
+        # the text is built from the integer triple; it must read as the
+        # reduced Fractions' own str did
+        p, q = Fraction(n * big, d), Fraction(-m, e * big)
+        if q:
+            want = f"α*{q}" if not p else f"{p}+α*{q}"
+        else:
+            want = str(p)
+        assert str(QAlpha(p, q)) == want
+        assert str(QAlpha(p)) == str(p)
+
+    def test_str_of_small_cases(self):
+        assert [str(v) for v in (qa(0), qa(5), qa(-5), qa(Fraction(6, -4)),
+                                 qa(0, 1), qa(0, Fraction(-2, 4)),
+                                 qa(Fraction(1, 3), Fraction(1, 2)))] == [
+            "0", "5", "-5", "-3/2", "α*1", "α*-1/2", "1/3+α*1/2"]
+
     def test_parse_forms(self):
         assert QAlpha.parse("5") == qa(5)
         assert QAlpha.parse("α") == qa(0, 1)

@@ -1,9 +1,13 @@
 """Round-trip and determinism tests for the JSON layer."""
 
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasifolds.algebra import (CircleModel, LineModel, delta,
                                 random_circle_element, random_line_element)
@@ -119,3 +123,59 @@ class TestCanonicalDumps:
         a = canonical_dumps(atlas_to_json(get_atlas("t-alpha-duplicated")))
         b = canonical_dumps(atlas_to_json(get_atlas("t-alpha-duplicated")))
         assert a == b
+
+
+_TRICKY_TEXT = st.sampled_from([
+    "", "α", "π²", "\u2028", "\U0001f600", '"', "\\", "\\n", "\n", "\t",
+    "\x00", "\x1f", "\x7f", "[]{},:", '{"a": [1, 2]}', " : ", ",\n  "])
+_TEXT = st.one_of(st.text(), _TRICKY_TEXT)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e-320, 5e-324, 1e300, math.nan, math.inf,
+                     -math.inf, 0.1, -1.5]))
+_INTS = st.one_of(st.integers(),
+                  st.integers(min_value=2 ** 64, max_value=2 ** 200),
+                  st.integers(max_value=-2 ** 64, min_value=-2 ** 200))
+_LEAVES = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=5)),
+    max_leaves=40)
+
+
+class TestCanonicalDumpsMatchesJson:
+    """canonical_dumps reproduces json.dumps with the canonical settings."""
+
+    @staticmethod
+    def reference(obj):
+        return json.dumps(obj, sort_keys=True, indent=2,
+                          ensure_ascii=False) + "\n"
+
+    @settings(max_examples=400, deadline=None)
+    @given(_TREES)
+    def test_random_trees(self, obj):
+        assert canonical_dumps(obj) == self.reference(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, (), [[]], [{}], {"a": {}}, {"a": []}, [[[]], {"b": ()}],
+        {"": None, " ": True, "z": False, "é": -0.0, "\\": 1e-320},
+        [math.nan, math.inf, -math.inf, 2 ** 70, -(2 ** 70)],
+        "top", 7, None, True, 1.5,
+    ])
+    def test_edge_values(self, obj):
+        assert canonical_dumps(obj) == self.reference(obj)
+
+    @pytest.mark.parametrize("name", sorted(builtin_atlases()))
+    def test_builtin_atlases(self, name):
+        obj = atlas_to_json(get_atlas(name))
+        assert canonical_dumps(obj) == self.reference(obj)
+
+    @pytest.mark.parametrize("value", [
+        Fraction(1, 2), {1, 2}, {1: "int key"}, {"k": [Fraction(1)]},
+        {"k": {(1, 2): 0}}, [object()]])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            canonical_dumps(value)
