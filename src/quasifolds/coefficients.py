@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import _kernels as K
 from .errors import QuasifoldError
-from .exact import _TWO_53, QAlpha, _as_qalpha, default_witness
+from .exact import QAlpha, _as_qalpha, default_witness
 
 __all__ = ["TrigPoly", "PiecewisePoly"]
 
@@ -296,12 +296,7 @@ class PiecewisePoly:
         base, coeffs = self.breakpoints[i - 1], self.pieces[i - 1]
         if x == base:
             return coeffs
-        offset = x - base
-        a, b, d = offset.triple
-        # an integer below 2⁵³ is the same double either way, without Decimal
-        h = (float(a) if not b and d == 1 and -_TWO_53 < a < _TWO_53
-             else w.to_float(offset))
-        return tuple(K.poly_shift(list(coeffs), h))
+        return tuple(K.poly_shift(list(coeffs), w.to_float(x - base)))
 
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         if not self.breakpoints or not other.breakpoints:
