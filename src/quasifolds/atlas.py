@@ -333,7 +333,7 @@ class StructureGroupoid:
             chart = self.atlas.chart(chart_id)
             for g in chart.group.enumerate(bound):
                 m2 = g.compose(m)
-                if chart.contains(m2.apply(v.coords)):
+                if chart.domain is None or chart.contains(m2.apply(v.coords)):
                     state = (chart_id, m2)
                     base_of[id(state)] = m
                     yield state

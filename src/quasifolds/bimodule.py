@@ -157,21 +157,21 @@ def generate_germs(bi: BiAtlas, word_length: int,
     """All germs {g'-word} ∘ seed ∘ {g-word} with word data within the bound.
 
     Deterministic order: seeds in declaration order, then left arrows, then
-    right arrows, deduplicated on (src, map, dst_chart).
+    right arrows, deduplicated on (src, map, dst_chart), the first germ of
+    each kept.  Each candidate costs one dict probe; the dict grows by at
+    most one germ per candidate, so it passes max_count exactly when a new
+    germ does.
     """
-    seen = {}
+    seen = {}  # insertion-ordered set of germs
     for seed in bi.seeds:
         lefts = bi.left_groupoid().fiber_over(seed.src, word_length)
         for g in lefts:
             z1 = left_act(g, seed)
             rights = bi.right_groupoid().arrows_from(class_map(z1), word_length)
             for gp in rights:
-                z2 = right_act(z1, gp)
-                key = (z2.src, z2.map, z2.dst_chart)
-                if key not in seen:
-                    seen[key] = z2
-                    if len(seen) > max_count:
-                        raise QuasifoldError(
-                            f"germ generation exceeded {max_count} instances;"
-                            " lower the word length")
-    return tuple(seen.values())
+                seen.setdefault(right_act(z1, gp))
+                if len(seen) > max_count:
+                    raise QuasifoldError(
+                        f"germ generation exceeded {max_count} instances;"
+                        " lower the word length")
+    return tuple(seen)

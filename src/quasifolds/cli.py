@@ -270,7 +270,7 @@ def parse_vector(text: str, dimension: int, what: str) -> tuple:
 def cmd_groupoid(args, cfg) -> dict:
     atlas = resolve_atlas(args.atlas)
     groupoid = StructureGroupoid(atlas)
-    point = (parse_point(args.point, atlas) if args.point
+    point = (parse_point(args.point, atlas) if args.point is not None
              else NebulaPoint(atlas.charts[0].id,
                               tuple(qa(0) for _ in range(atlas.dimension))))
     groupoid.require_point(point)
@@ -583,8 +583,8 @@ def _lift_detect(args, cfg) -> dict:
         expect_pieces, expect_coverage = k, 1.0
         label = f"stitched-{k}"
     else:
-        gamma = (parse_vector(args.gamma, 1, "--gamma")[0] if args.gamma
-                 else qa(2, 3))
+        gamma = (parse_vector(args.gamma, 1, "--gamma")[0]
+                 if args.gamma is not None else qa(2, 3))
         func = lambda s: (s[0] + gamma,)
         expect_pieces, expect_coverage = 1, 1.0
         label = "single-element"
@@ -788,6 +788,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # argparse before Python 3.12 reads "--opt=--" as an empty list (inside
+    # the list of an append option)
+    empty = [name for name, value in vars(args).items()
+             if value == [] or isinstance(value, list) and [] in value]
+    if empty:
+        print(f"error: no value given for --{empty[0].replace('_', '-')}",
+              file=sys.stderr)
+        return EXIT_USAGE
     start = time.monotonic()
     previous = default_witness()
     try:

@@ -52,10 +52,14 @@ _ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "3", "-3/2" → Fraction. Whitespace tolerated; malformed text
-    and a zero denominator both raise ValueError."""
+    """Parse "3", "-3/2" → Fraction. Whitespace tolerated; malformed text,
+    a zero denominator and exponent notation ("1e9999999" would build a
+    ten-million-digit integer) raise ValueError."""
+    s = text.strip().replace(" ", "")
+    if "e" in s or "E" in s:
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
     try:
-        return Fraction(text.strip().replace(" ", ""))
+        return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -649,11 +653,14 @@ class AffineElement:
 
     The public constructor validates shape and invertibility.  `compose` and
     `invert` build their results with `_affine`, which skips both checks: a
-    product or inverse of valid elements is valid.
+    product or inverse of valid elements is valid.  The hash is that of the
+    pair (a, b), computed once per instance from the integer parts of the
+    matrix entries and kept in `_hash`.
     """
 
     a: Matrix
     b: tuple
+    _hash = None  # not a field: equality compares (a, b) only
 
     def __post_init__(self):
         a = _freeze_matrix(self.a)
@@ -664,6 +671,16 @@ class AffineElement:
             raise ValueError("linear part must be invertible")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            # _part_hash(n, d) is hash(Fraction(n, d)), and a tuple hashes
+            # only its items' hashes, so this is hash((self.a, self.b))
+            h = hash((tuple(tuple(_part_hash(x.numerator, x.denominator)
+                                  for x in row) for row in self.a), self.b))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def n(self) -> int:

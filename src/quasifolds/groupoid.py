@@ -10,6 +10,7 @@ chart whose maps agree on n+1 affinely independent points are equal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import NotComposableError
@@ -45,13 +46,17 @@ class NebulaPoint:
 
 @dataclass(frozen=True)
 class Arrow:
-    """Germ of an ev-absorbed local diffeomorphism, anchored at `src`."""
+    """Germ of an ev-absorbed local diffeomorphism, anchored at `src`.
+
+    Equality and hash use the three fields only.  The target `trg` is
+    computed on first use and kept on the instance.
+    """
 
     src: NebulaPoint
     map: AffineElement
     dst_chart: str
 
-    @property
+    @functools.cached_property
     def trg(self) -> NebulaPoint:
         return NebulaPoint(self.dst_chart, self.map.apply(self.src.coords))
 

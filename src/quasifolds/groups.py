@@ -55,20 +55,23 @@ def breadth_first(start, step, depth: int):
     is true when a round found nothing new, so `states` is closed under
     `step`; false means the search ended at its bound.  States must be
     hashable; equal states count as one, and the object returned for a state
-    is the first one yielded.
+    is the first one yielded.  Each yielded state is hashed once: one `add`
+    to the seen-set, which grows exactly when the state is new.
     """
     out, seen = [], set()
     for state in start:
-        if state not in seen:
-            seen.add(state)
+        size = len(seen)
+        seen.add(state)
+        if len(seen) > size:
             out.append(state)
     frontier = list(out)
     for _ in range(depth):
         new = []
         for state in frontier:
             for cand in step(state):
-                if cand not in seen:
-                    seen.add(cand)
+                size = len(seen)
+                seen.add(cand)
+                if len(seen) > size:
                     out.append(cand)
                     new.append(cand)
         if not new:
@@ -442,7 +445,10 @@ def require_intertwines(m: AffineElement, src: GroupPresentation,
     conjugates generate m·src·m⁻¹: the generators of a lattice or generated
     group, every element of a finite group.  There only a certified FALSE
     m·γ·m⁻¹ ∉ dst raises; it never depends on the membership bound, so
-    membership is asked at bound 0 and an inconclusive answer passes."""
+    membership is asked at bound 0 and an inconclusive answer passes.  A
+    generated dst certifies no FALSE, so only a Q src is refused there.  A
+    src of any other kind (a presentation subclass outside these four) has
+    no sample and passes unchecked."""
     if isinstance(src, RationalTranslations):
         if not isinstance(dst, RationalTranslations):
             raise InconsistentTransitionError(

@@ -2,12 +2,18 @@
 formats, and configuration precedence.  Everything runs in-process through
 main(argv)."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasifolds.atlas import Atlas, Chart, Transition
 from quasifolds.bimodule import BiAtlas, LinkingGerm
@@ -15,7 +21,7 @@ from quasifolds.catalog import get_biatlas, z_alpha_lattice
 from quasifolds.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS,
                             EXIT_USAGE, UsageError, main, resolve_biatlas)
 from quasifolds.errors import InconsistentTransitionError
-from quasifolds.exact import AffineElement, default_witness, qa
+from quasifolds.exact import AffineElement, QAlpha, default_witness, qa
 from quasifolds.groupoid import NebulaPoint
 from quasifolds.groups import FiniteMatrixGroup
 from quasifolds.serialize import (atlas_to_json, biatlas_to_json,
@@ -202,6 +208,103 @@ class TestBadInputIsRejectedAtParseTime:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "Traceback" not in err
         assert "margin" in err and "outside" not in err
+
+
+def run_quietly(*argv):
+    """main(argv) with stdout and stderr captured, for Hypothesis tests
+    (which cannot take the function-scoped capsys fixture)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def is_vector(text: str, dimension: int) -> bool:
+    """Does text read as `dimension` comma-separated QAlpha literals?  The
+    grammar itself is pinned by the parse tests in tests/test_exact.py."""
+    try:
+        return len([QAlpha.parse(c) for c in text.split(",")]) == dimension
+    except ValueError:
+        return False
+
+
+def is_alpha(text: str) -> bool:
+    """Is text a finite decimal whose float is finite ("" and "default"
+    name the default witness)?"""
+    if text in ("", "default"):
+        return True
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        return False
+    return value.is_finite() and not math.isinf(float(value))
+
+
+# pieces of near-valid literals, so that many draws are one step from valid
+_TOKENS = ("0", "1", "7", "12", "-", "+", "/", "*", "α", "alpha", ",", ".",
+           "e", "E", " ", "x", "_", "½", "nan", "inf", ":", "\t", "\n",
+           "\x00", "é", "0x1", "1/0", "α*", "--", "=")
+malformed_text = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=7).map("".join),
+    st.text(max_size=12))
+
+# one option value each; the rest of the command line is valid
+_VECTOR_COMMANDS = {
+    "--point": lambda v: ("groupoid", "--atlas", "t-alpha", "--bound", "1",
+                          f"--point=main:{v}"),
+    "--r": lambda v: ("lift", "construct", "--biatlas", "duplicated",
+                      f"--r={v}", "--rp=0"),
+    "--rp": lambda v: ("lift", "construct", "--biatlas", "duplicated",
+                       "--r=0", f"--rp={v}"),
+    "--gamma": lambda v: ("lift", "detect", "--samples", "3",
+                          f"--gamma={v}"),
+}
+
+
+class TestFuzzedInputExitsTwo:
+    """Malformed option values exit 2 with exactly one `error:` line on
+    stderr, nothing on stdout and no traceback (an exception escaping main
+    fails the test)."""
+
+    def assert_one_error_line(self, code, out, err):
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    @settings(max_examples=120, deadline=None)
+    @given(option=st.sampled_from(sorted(_VECTOR_COMMANDS)),
+           text=malformed_text)
+    @example(option="--gamma", text="")  # used to fall back to the default
+    @example(option="--rp", text="1e99999")  # exponents are refused
+    @example(option="--point", text="1,2")  # wrong dimension
+    def test_malformed_vectors(self, option, text):
+        if is_vector(text, 1):
+            return
+        self.assert_one_error_line(*run_quietly(*_VECTOR_COMMANDS[option](text)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=malformed_text)
+    @example(text="1e400")
+    @example(text="-inf")
+    def test_malformed_alpha(self, text):
+        if is_alpha(text):
+            return
+        self.assert_one_error_line(
+            *run_quietly("rotation", "--max-power", "1", f"--alpha={text}"))
+
+    @pytest.mark.parametrize("argv", [
+        ("groupoid", "--atlas", "t-alpha", "--point="),
+        ("groupoid", "--atlas", "t-alpha", "--point=--"),
+        ("lift", "construct", "--biatlas", "duplicated", "--r=0", "--rp=--"),
+        ("lift", "detect", "--gamma=--"),
+        ("repr", "--p=--"),
+        ("algebra", "--model=--"),
+        ("rotation", "--alpha=--"),
+    ])
+    def test_empty_option_values(self, argv):
+        # argparse before Python 3.12 reads "--opt=--" as an empty list
+        self.assert_one_error_line(*run_quietly(*argv))
 
 
 class TestReportShape:

@@ -74,10 +74,12 @@ class TestQAlpha:
     @pytest.mark.parametrize("text", [
         "2α", "3alpha", "α+1", "α-1", "2α+3", "1/2α",
         "α*", "αα", "α*2α", "1++α", "+-α", "α2",
+        "1e3", "2.5E-1", "1e9999999", "α*1e9999999",
     ])
     def test_parse_rejects_text_outside_the_grammar(self, text):
         # the grammar is p, α or [p±]α[*q]: no implicit product, no term
-        # after α
+        # after α, no exponent ("1e9999999" would build a ten-million-digit
+        # integer)
         with pytest.raises(ValueError):
             QAlpha.parse(text)
 

@@ -364,3 +364,82 @@ def test_intertwining_check_agrees_with_the_enumerated_check():
     # Q into a lattice: 12 maps of 18 conjugate t_±1 into each lattice but
     # half(Z+aZ), which takes 15; Q into <t1>: all 18
     assert differences == 3 * 12 + 15 + 18
+
+
+# each rule of require_intertwines against brute-force enumeration: the
+# generated sources add an infinite dihedral group and a finite group given
+# by a generator
+BRUTE_SOURCES = dict(INTERTWINING_GROUPS, **{
+    "<t1, -x>": GeneratedGroup((AffineElement.translation((qa(1),)),
+                                AffineElement.linear(((Fraction(-1),),)))),
+    "<1-x>": GeneratedGroup((AffineElement(((Fraction(-1),),), (qa(1),)),)),
+    "<ta>": GeneratedGroup((AffineElement.translation((qa(0, 1),)),)),
+})
+# elements of each source kind that the brute force conjugates: every
+# element of a finite group, short words or lattice combinations, and the
+# rationals of height at most 6 for Q (denominators no map scale clears)
+SOURCE_BOUND = {TranslationLattice: 1, FiniteMatrixGroup: 0,
+                GeneratedGroup: 2, RationalTranslations: 6}
+# targets enumerated far enough that every conjugate met below with small
+# coefficients is found when it is a member: |coefficient| <= 12 in each
+# generator, heights up to 18, words of up to 8 letters
+TARGET_BOUND = {TranslationLattice: 12, FiniteMatrixGroup: 0,
+                GeneratedGroup: 8, RationalTranslations: 18}
+
+
+def _kind(group) -> str:
+    return type(group).__name__
+
+
+def test_intertwining_rules_against_brute_force():
+    """For every (source kind, target kind) pair: the check refuses exactly
+    when some enumerated source element conjugates outside the enumerated
+    target, except where the rule says otherwise —
+
+    * a Q source is refused by every target but Q, although its enumerated
+      elements of bounded height may all conjugate into a lattice;
+    * a generated target certifies no FALSE, so it refuses only a Q source
+      (a brute-force escape from it is not a certificate);
+    * a source kind with no sample passes unchecked.
+    """
+    members = {name: set(g.enumerate(TARGET_BOUND[type(g)]))
+               for name, g in BRUTE_SOURCES.items()}
+    outcomes = {}
+    for (src_name, src), (dst_name, dst), m in itertools.product(
+            BRUTE_SOURCES.items(), BRUTE_SOURCES.items(), MAPS):
+        inv = m.invert()
+        escapes = [g for g in src.enumerate(SOURCE_BOUND[type(src)])
+                   if m.compose(g).compose(inv) not in members[dst_name]]
+        refused = _raises(lambda: require_intertwines(m, src, dst, "map"))
+        if isinstance(src, RationalTranslations):
+            want = not isinstance(dst, RationalTranslations)
+        elif isinstance(dst, GeneratedGroup):
+            want = False
+        else:
+            want = bool(escapes)
+        assert refused == want, (src_name, dst_name, m)
+        assert escapes or not refused, (src_name, dst_name, m)  # sound
+        outcomes.setdefault((_kind(src), _kind(dst)), set()).add(refused)
+    kinds = {_kind(g) for g in BRUTE_SOURCES.values()}
+    assert set(outcomes) == set(itertools.product(kinds, kinds))
+    # both answers occur wherever the rule leaves a choice; a finite group
+    # holds no nonzero translation, so it refuses every lattice
+    for (src_kind, dst_kind), seen in outcomes.items():
+        if src_kind == "RationalTranslations":
+            assert seen == {dst_kind != "RationalTranslations"}
+        elif dst_kind == "GeneratedGroup":
+            assert seen == {False}
+        elif (src_kind, dst_kind) == ("TranslationLattice",
+                                      "FiniteMatrixGroup"):
+            assert seen == {True}
+        else:
+            assert seen == {True, False}, (src_kind, dst_kind)
+
+
+def test_a_source_kind_without_a_sample_passes_unchecked():
+    class Opaque(groups.GroupPresentation):
+        dimension = 1
+
+    m = AffineElement.linear(((Fraction(2),),))
+    for dst in INTERTWINING_GROUPS.values():
+        require_intertwines(m, Opaque(), dst, "map")

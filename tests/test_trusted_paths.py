@@ -11,22 +11,26 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quasifolds.exact as exact
 import quasifolds.groups as groups
+from quasifolds import bimodule
 from quasifolds.algebra import (AlgebraElement, CircleModel, LineModel,
                                 convolve_closed_form, convolve_general,
                                 involute, random_circle_element,
                                 random_line_element)
-from quasifolds.catalog import two_scale_lattice, z_alpha_lattice
+from quasifolds.catalog import (duplicated_biatlas, two_scale_biatlas,
+                                two_scale_lattice, z_alpha_lattice)
 from quasifolds.coefficients import PiecewisePoly, TrigPoly
-from quasifolds.errors import EnumerationCapError, SupportEscapesSubgroupError
+from quasifolds.errors import (EnumerationCapError, QuasifoldError,
+                               SupportEscapesSubgroupError)
 from quasifolds.exact import (AffineElement, AlphaWitness, QAlpha,
                               default_witness, mat_mul, qa)
+from quasifolds.groupoid import Arrow, NebulaPoint, arrow_compose
 from quasifolds.groups import (GeneratedGroup, RationalTranslations,
-                               TranslationLattice)
+                               TranslationLattice, breadth_first)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -93,6 +97,173 @@ class TestAffineFastPaths:
             sum((v[j].scale(x.a[i][j]) for j in range(x.n)), QAlpha())
             + x.b[i] for i in range(x.n))
         assert x.apply(v) == want
+
+
+# ---------------------------------------------------------------------------
+# word searches: one hash per state, one target per arrow
+# ---------------------------------------------------------------------------
+
+def _routes(x: AffineElement) -> list:
+    """x and maps equal to it, each built by another constructor route."""
+    same = [x, _checked(x), exact._affine(x.a, x.b),
+            AffineElement.from_json(x.to_json()),
+            x.invert().invert(),
+            AffineElement.identity(x.n).compose(x),
+            x.compose(AffineElement.identity(x.n))]
+    if x.is_translation:
+        same.append(AffineElement.translation(x.b))
+    if all(v.is_zero for v in x.b):
+        same.append(AffineElement.linear(x.a))
+    return same
+
+
+_SIGNED = AffineElement(((Fraction(-3, 7), Fraction(2)),
+                         (Fraction(1, 3), Fraction(-5, 2))),
+                        (qa(Fraction(-1, 2), -3), qa(4, Fraction(-2, 9))))
+
+
+class TestAffineHashIsCached:
+    @PROPERTY
+    @given(pairs)
+    @example((_SIGNED, _SIGNED.invert()))
+    @example((AffineElement.linear(((Fraction(-1, 6),),)),
+              AffineElement.translation((qa(Fraction(-5, 4), 2),))))
+    def test_hash_is_the_pair_hash_on_every_route(self, xy):
+        x, y = xy
+        built = (_routes(x) + _routes(x.compose(y)) + _routes(x.invert())
+                 + [AffineElement.translation(x.b), AffineElement.linear(x.a),
+                    AffineElement.identity(x.n)])
+        for e in built:
+            assert hash(e) == hash((e.a, e.b))
+        for same in (_routes(x), _routes(x.compose(y))):
+            assert len({hash(e) for e in same}) == 1
+            assert all(e == same[0] for e in same)
+
+    def test_second_hash_is_the_stored_value(self, monkeypatch):
+        x = AffineElement(((Fraction(2, 3),),), (qa(Fraction(1, 2), -1),))
+        first = hash(x)
+        calls = []
+        real = exact._part_hash
+        monkeypatch.setattr(exact, "_part_hash",
+                            lambda n, d: calls.append(1) or real(n, d))
+        assert hash(x) == first == x._hash
+        assert calls == []
+        y = exact._affine(x.a, x.b)  # a fresh instance computes its own
+        assert hash(y) == first and calls == [1]
+
+
+class _Counted:
+    """A search state equal by value, tagged with the order it was made in,
+    counting calls of __hash__."""
+
+    hashes = 0
+
+    def __init__(self, value, tag):
+        self.value, self.tag = value, tag
+
+    def __eq__(self, other):
+        return self.value == other.value
+
+    def __hash__(self):
+        _Counted.hashes += 1
+        return hash(self.value)
+
+
+def _two_probe_breadth_first(start, step, depth):
+    """breadth_first as it was: `in`, then `add`, for every candidate."""
+    out, seen = [], set()
+    for state in start:
+        if state not in seen:
+            seen.add(state)
+            out.append(state)
+    frontier = list(out)
+    for _ in range(depth):
+        new = []
+        for state in frontier:
+            for cand in step(state):
+                if cand not in seen:
+                    seen.add(cand)
+                    out.append(cand)
+                    new.append(cand)
+        if not new:
+            return out, True
+        frontier = new
+    return out, False
+
+
+class TestOneProbePerCandidate:
+    @PROPERTY
+    @given(st.lists(st.lists(st.integers(0, 7), max_size=5), min_size=8,
+                    max_size=8),
+           st.lists(st.integers(0, 7), min_size=1, max_size=4),
+           st.integers(0, 5))
+    def test_breadth_first_equals_the_two_probe_loop(self, edges, start, depth):
+        """Same states, same order, same flag and the same (first-made)
+        object for each state; steps revisit states and repeat them."""
+        def run(search):
+            made = []
+
+            def new(value):
+                made.append(value)
+                return _Counted(value, len(made))
+
+            states, closed = search([new(v) for v in start],
+                                    lambda c: (new(v) for v in edges[c.value]),
+                                    depth)
+            return [(c.value, c.tag) for c in states], closed, len(made)
+
+        _Counted.hashes = 0
+        got = run(breadth_first)
+        assert _Counted.hashes == got[2]  # one hash per candidate made
+        assert got == run(_two_probe_breadth_first)
+
+    @pytest.mark.parametrize("make", [duplicated_biatlas, two_scale_biatlas])
+    def test_generate_germs_keeps_order_and_first_germs(self, make):
+        bi = make()
+        seen = {}
+        for seed in bi.seeds:
+            for g in bi.left_groupoid().fiber_over(seed.src, 1):
+                z1 = bimodule.left_act(g, seed)
+                for gp in bi.right_groupoid().arrows_from(
+                        bimodule.class_map(z1), 1):
+                    z2 = bimodule.right_act(z1, gp)
+                    seen.setdefault((z2.src, z2.map, z2.dst_chart), z2)
+        germs = bimodule.generate_germs(bi, 1)
+        assert germs == tuple(seen.values())
+        assert len(germs) == 81
+
+    def test_generate_germs_cap(self):
+        bi = duplicated_biatlas()
+        assert len(bimodule.generate_germs(bi, 1, max_count=81)) == 81
+        with pytest.raises(QuasifoldError, match="exceeded 80"):
+            bimodule.generate_germs(bi, 1, max_count=80)
+
+
+class TestArrowTargetIsKept:
+    def test_trg_applies_the_map_once(self, monkeypatch):
+        calls = []
+        real = AffineElement.apply
+        monkeypatch.setattr(AffineElement, "apply",
+                            lambda m, x: calls.append(1) or real(m, x))
+        m = AffineElement(((Fraction(1, 2),),), (qa(1, 1),))
+        for cls in (Arrow, bimodule.LinkingGerm):
+            calls.clear()
+            a = cls(NebulaPoint("c", (qa(2),)), m, "d")
+            assert a.trg == NebulaPoint("d", (qa(2, 1),))
+            assert a.trg is a.trg
+            back = Arrow(a.trg, m.invert(), "c")
+            assert arrow_compose(a, back).is_unit  # reads a.trg again
+            assert calls == [1]
+
+    def test_equality_and_hash_ignore_the_kept_target(self):
+        src = NebulaPoint("c", (qa(Fraction(-1, 3), 2),))
+        m = AffineElement.translation((qa(1),))
+        read = Arrow(src, m, "c")
+        read.trg
+        fresh = Arrow(src, m, "c")
+        assert read == fresh and hash(read) == hash(fresh)
+        assert len({read, fresh}) == 1
+        assert read.to_json() == fresh.to_json()
 
 
 # ---------------------------------------------------------------------------
