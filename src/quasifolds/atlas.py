@@ -19,24 +19,23 @@ answer is inconclusive-at-bound.
 
 Word generation, transition routes and the reachable-coset walk are each a
 start set plus a step function handed to `groups.breadth_first`; its
-`closed` flag is what allows a "not equal" certificate.  Cosets compare as
-point sets, so the walk deduplicates them like any other state.
+`closed` flag is what allows a "not equal" certificate.  The walk's states
+are (chart, `groups.Coset`) pairs, closed by each chart group's `saturate`;
+cosets compare as point sets, so the walk deduplicates them like any other
+state.  This module asks the chart groups and names no group kind.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (InconclusiveAtBoundError, InconsistentTransitionError,
                      PrecisionInsufficientError, QuasifoldError)
-from .exact import (AffineElement, QAlpha, Trit, default_witness, mat_vec,
-                    vec_eq)
+from .exact import AffineElement, QAlpha, Trit, default_witness, vec_eq
 from .groupoid import Arrow, NebulaPoint, arrow_invert
-from .groups import (FiniteMatrixGroup, GroupPresentation,
-                     RationalTranslations, TranslationLattice, breadth_first,
+from .groups import (Coset, GroupPresentation, breadth_first,
                      require_intertwines)
 
 __all__ = [
@@ -152,80 +151,6 @@ class Atlas:
             if c.id == cid:
                 return c
         raise KeyError(cid)
-
-
-# ---------------------------------------------------------------------------
-# reachable affine cosets (for certified not-equal)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Coset:
-    """base + Z-span(gens) (+ all rational translations when rational_full),
-    inside one chart: the set of points a group/transition word can reach.
-
-    Equality is equality of point sets, decided where a certificate exists:
-    a base difference that cannot be certified counts as unequal.  The hash
-    ignores the base."""
-
-    chart: str
-    base: tuple
-    gens: tuple
-    rational_full: bool = False
-
-    def __eq__(self, other) -> bool:
-        if (self.chart != other.chart
-                or self.rational_full != other.rational_full
-                or len(self.gens) != len(other.gens)
-                or set(self.gens) != set(other.gens)):
-            return False
-        return bool(self.contains_point(other.base))
-
-    def __hash__(self) -> int:
-        return hash((self.chart, self.rational_full, frozenset(self.gens)))
-
-    @functools.cached_property
-    def _lattice(self) -> Optional[TranslationLattice]:
-        """The lattice of the generators (None for {0}), or of their α-parts
-        when rational_full: taking α-parts is Z-linear with kernel Qᵐ, so d
-        is in Qᵐ + Z-span(gens) iff its α-part is in the α-parts' Z-span."""
-        gens = map(_alpha_part, self.gens) if self.rational_full else self.gens
-        gens = tuple(g for g in gens if not all(v.is_zero for v in g))
-        return TranslationLattice(gens) if gens else None
-
-    def contains_point(self, coords) -> bool:
-        d = tuple(b - a for a, b in zip(self.base, coords))
-        if self.rational_full:
-            d = _alpha_part(d)
-        if self._lattice is None:
-            return all(v.is_zero for v in d)
-        return self._lattice.contains_value(d) is Trit.TRUE
-
-    def moved(self, chart: str, m: AffineElement) -> "_Coset":
-        """Image of the coset under the affine map m, placed in `chart`."""
-        gens = tuple(mat_vec(m.a, vec) for vec in self.gens)
-        return _Coset(chart, m.apply(self.base), gens, self.rational_full)
-
-
-def _alpha_part(vec) -> tuple:
-    return tuple(QAlpha(0, v.q) for v in vec)
-
-
-def _saturate(coset: _Coset, group: GroupPresentation) -> list:
-    """Close a coset under a chart group, as a list of cosets.  Raises
-    InconclusiveAtBoundError for a group kind that admits no certificate."""
-    if isinstance(group, TranslationLattice):
-        gens = list(coset.gens)
-        for g in group.generators:
-            if g not in gens:
-                gens.append(g)
-        return [_Coset(coset.chart, coset.base, tuple(gens), coset.rational_full)]
-    if isinstance(group, RationalTranslations):
-        return [_Coset(coset.chart, coset.base, coset.gens, True)]
-    if isinstance(group, FiniteMatrixGroup):
-        return [coset.moved(coset.chart, g) for g in group.elements]
-    # GeneratedGroup etc.: absence never certified
-    raise InconclusiveAtBoundError(
-        f"{type(group).__name__} admits no coset certificate")
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +299,7 @@ class StructureGroupoid:
         self.require_point(v)
         self.require_point(w)
         group = self.atlas.chart(w.chart).group
-        translations = isinstance(group, (TranslationLattice,
-                                          RationalTranslations))
+        translations = group.translations_only
         maps = {}  # word maps v → w, each once, in discovery order
         linear_done, layers_false = set(), set()
         for chart_id, m, base in self._states_from(v, bound):
@@ -393,17 +317,20 @@ class StructureGroupoid:
 
     # -- three-valued point equality --
     def _reachable_cosets(self, v: NebulaPoint):
-        """The cosets reachable from v by group and transition words, or None
-        when no certificate is available: a chart group admits none, or the
-        walk did not close within ROUTE_CAP transition layers."""
-        def step(coset):
-            for dst, tmap in self._letters.get(coset.chart, ()):
-                yield from _saturate(coset.moved(dst, tmap),
-                                     self.atlas.chart(dst).group)
+        """The (chart, coset) pairs reachable from v by group and transition
+        words, or None when no certificate is available: a chart group admits
+        none, or the walk did not close within ROUTE_CAP transition layers."""
+        def saturate(chart_id, coset):
+            group = self.atlas.chart(chart_id).group
+            return [(chart_id, c) for c in group.saturate(coset)]
+
+        def step(state):
+            chart_id, coset = state
+            for dst, tmap in self._letters.get(chart_id, ()):
+                yield from saturate(dst, coset.moved(tmap))
 
         try:
-            start = _saturate(_Coset(v.chart, tuple(v.coords), ()),
-                              self.atlas.chart(v.chart).group)
+            start = saturate(v.chart, Coset(tuple(v.coords), ()))
             cosets, closed = breadth_first(start, step, ROUTE_CAP)
         except InconclusiveAtBoundError:
             return None
@@ -424,7 +351,8 @@ class StructureGroupoid:
         cosets = self._reachable_cosets(v)
         if cosets is None:
             return Trit.UNKNOWN
-        if any(c.contains_point(w.coords) for c in cosets if c.chart == w.chart):
+        if any(c.contains_point(w.coords)
+               for chart_id, c in cosets if chart_id == w.chart):
             return Trit.UNKNOWN  # reachable, but not within this bound
         return Trit.FALSE
 

@@ -788,10 +788,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    # argparse before Python 3.12 reads "--opt=--" as an empty list (inside
-    # the list of an append option)
+    # "--opt=" gives an empty string; argparse before Python 3.12 reads
+    # "--opt=--" as an empty list (inside the list of an append option)
     empty = [name for name, value in vars(args).items()
-             if value == [] or isinstance(value, list) and [] in value]
+             if value in ("", []) or isinstance(value, list) and [] in value]
     if empty:
         print(f"error: no value given for --{empty[0].replace('_', '-')}",
               file=sys.stderr)

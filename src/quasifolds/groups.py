@@ -11,6 +11,10 @@ bound, a certified "no element of the group works" (available for translation
 kinds via coefficient obstructions and for finite groups by completeness), or
 inconclusive-at-bound.
 
+Each kind answers for itself (`contains`, `intertwining_sample`, `saturate`
+of a `Coset`, `translations_only`), so no caller switches on the kind; the
+`GroupPresentation` defaults never certify absence.
+
 A translation lattice keeps one Z-basis of its generators, computed on first
 use: B = U·G over the common denominator D.  Each membership query d is one
 solve of B·c = D·d: d is in the lattice iff c is integral, and Uᵀc are its
@@ -27,8 +31,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (DimensionMismatchError, EnumerationCapError,
-                     InconsistentTransitionError)
-from .exact import AffineElement, QAlpha, Trit, solve_linear, vec_eq
+                     InconclusiveAtBoundError, InconsistentTransitionError)
+from .exact import AffineElement, QAlpha, Trit, mat_vec, solve_linear, vec_eq
 
 __all__ = [
     "GroupPresentation",
@@ -36,6 +40,7 @@ __all__ = [
     "RationalTranslations",
     "FiniteMatrixGroup",
     "GeneratedGroup",
+    "Coset",
     "breadth_first",
     "require_intertwines",
     "enumerate_group",
@@ -110,9 +115,20 @@ class GroupPresentation:
 
     dimension: int
     hard_cap = 10_000  # largest enumeration bound any presentation accepts
+    translations_only = False  # every element is a translation
+    intertwining_sample = ()  # elements whose conjugates generate m·Γ·m⁻¹
 
     def enumerate(self, bound: int) -> tuple:
         raise NotImplementedError
+
+    def contains(self, g: AffineElement, bound: int) -> Trit:
+        """g ∈ Γ?  Here: found within the bound, else UNKNOWN (never FALSE)."""
+        return Trit.TRUE if g in self.enumerate(bound) else Trit.UNKNOWN
+
+    def saturate(self, coset: Coset) -> list:
+        """The coset closed under Γ, as a list of cosets.  Here: no certificate."""
+        raise InconclusiveAtBoundError(
+            f"{type(self).__name__} admits no coset certificate")
 
     def orbit_status(self, x: Sequence[QAlpha], y: Sequence[QAlpha], bound: int):
         """Return (witness γ with γ·x = y and indices within bound, or None;
@@ -180,6 +196,7 @@ class TranslationLattice(GroupPresentation):
     """Z-span of finitely many Q+Qα translation vectors."""
 
     generators: tuple
+    translations_only = True
 
     def __post_init__(self):
         gens = tuple(tuple(v if isinstance(v, QAlpha) else QAlpha(Fraction(v))
@@ -284,12 +301,26 @@ class TranslationLattice(GroupPresentation):
             return AffineElement.translation(d), Trit.TRUE  # d is the witness
         return None, status
 
+    def contains(self, g: AffineElement, bound: int) -> Trit:
+        return (self.membership(g.b, bound)[1] if g.is_translation
+                else Trit.FALSE)
+
+    @property
+    def intertwining_sample(self) -> tuple:
+        return tuple(AffineElement.translation(g) for g in self.generators)
+
+    def saturate(self, coset: Coset) -> list:
+        gens = list(coset.gens)
+        gens += [g for g in dict.fromkeys(self.generators) if g not in gens]
+        return [Coset(coset.base, tuple(gens), coset.rational_full)]
+
 
 @dataclass(frozen=True)
 class RationalTranslations(GroupPresentation):
     """All rational translations of R^n, height-ordered enumeration."""
 
     dimension: int = 1
+    translations_only = True
 
     @staticmethod
     def _line_values(bound: int):
@@ -309,12 +340,8 @@ class RationalTranslations(GroupPresentation):
     def enumerate(self, bound: int) -> tuple:
         line = self._line_values(bound)
         self._check_bound(bound, len(line) ** self.dimension)
-        if self.dimension == 1:
-            return tuple(AffineElement.translation((QAlpha(v),)) for v in line)
-        out = []
-        for tup in itertools.product(line, repeat=self.dimension):
-            out.append(AffineElement.translation(tuple(QAlpha(v) for v in tup)))
-        return tuple(out)
+        return tuple(AffineElement.translation(tuple(QAlpha(v) for v in tup))
+                     for tup in itertools.product(line, repeat=self.dimension))
 
     @property
     def is_dense(self) -> bool:
@@ -330,6 +357,13 @@ class RationalTranslations(GroupPresentation):
         if height <= bound:
             return AffineElement.translation(d), Trit.TRUE
         return None, Trit.UNKNOWN
+
+    def contains(self, g: AffineElement, bound: int) -> Trit:
+        rational = g.is_translation and all(v.is_rational for v in g.b)
+        return Trit.TRUE if rational else Trit.FALSE
+
+    def saturate(self, coset: Coset) -> list:
+        return [Coset(coset.base, coset.gens, True)]
 
 
 @dataclass(frozen=True)
@@ -372,6 +406,14 @@ class FiniteMatrixGroup(GroupPresentation):
                 return g, Trit.TRUE
         return None, Trit.FALSE  # complete search: certified
 
+    def contains(self, g: AffineElement, bound: int) -> Trit:
+        return Trit.TRUE if g in self.elements else Trit.FALSE
+
+    intertwining_sample = property(lambda self: self.elements)
+
+    def saturate(self, coset: Coset) -> list:
+        return [coset.moved(g) for g in self.elements]
+
 
 @dataclass(frozen=True)
 class GeneratedGroup(GroupPresentation):
@@ -412,25 +454,62 @@ class GeneratedGroup(GroupPresentation):
                 return g, Trit.TRUE
         return None, Trit.UNKNOWN
 
+    intertwining_sample = property(lambda self: self.generators)
+
+
+@dataclass(frozen=True)
+class Coset:
+    """base + Z-span(gens) (+ all rational translations when rational_full),
+    inside one chart: the set of points a group/transition word can reach.
+
+    Equality is equality of point sets, decided where a certificate exists:
+    a base difference that cannot be certified counts as unequal.  The hash
+    ignores the base."""
+
+    base: tuple
+    gens: tuple
+    rational_full: bool = False
+
+    def __eq__(self, other) -> bool:
+        if (self.rational_full != other.rational_full
+                or len(self.gens) != len(other.gens)
+                or set(self.gens) != set(other.gens)):
+            return False
+        return bool(self.contains_point(other.base))
+
+    def __hash__(self) -> int:
+        return hash((self.rational_full, frozenset(self.gens)))
+
+    @functools.cached_property
+    def _lattice(self) -> Optional[TranslationLattice]:
+        """The lattice of the generators (None for {0}), or of their α-parts
+        when rational_full: taking α-parts is Z-linear with kernel Qᵐ, so d
+        is in Qᵐ + Z-span(gens) iff its α-part is in the α-parts' Z-span."""
+        gens = map(_alpha_part, self.gens) if self.rational_full else self.gens
+        gens = tuple(g for g in gens if not all(v.is_zero for v in g))
+        return TranslationLattice(gens) if gens else None
+
+    def contains_point(self, coords) -> bool:
+        d = tuple(b - a for a, b in zip(self.base, coords))
+        if self.rational_full:
+            d = _alpha_part(d)
+        if self._lattice is None:
+            return all(v.is_zero for v in d)
+        return self._lattice.contains_value(d) is Trit.TRUE
+
+    def moved(self, m: AffineElement) -> Coset:
+        """Image of the coset under the affine map m."""
+        gens = tuple(mat_vec(m.a, vec) for vec in self.gens)
+        return Coset(m.apply(self.base), gens, self.rational_full)
+
+
+def _alpha_part(vec) -> tuple:
+    return tuple(QAlpha(0, v.q) for v in vec)
+
 
 def membership_status(group: GroupPresentation, g: AffineElement, bound: int) -> Trit:
-    """Is the affine element g a member of the group?  Certified where the
-    presentation allows (translation kinds, finite groups), bounded otherwise."""
-    if isinstance(group, FiniteMatrixGroup):
-        return Trit.TRUE if g in group.elements else Trit.FALSE
-    if isinstance(group, TranslationLattice):
-        if not g.is_translation:
-            return Trit.FALSE
-        _, status = group.membership(g.b, bound)
-        return status
-    if isinstance(group, RationalTranslations):
-        if not g.is_translation:
-            return Trit.FALSE
-        return Trit.TRUE if all(v.is_rational for v in g.b) else Trit.FALSE
-    for cand in group.enumerate(bound):
-        if cand == g:
-            return Trit.TRUE
-    return Trit.UNKNOWN
+    """Is the affine element g a member of the group?  (`group.contains`.)"""
+    return group.contains(g, bound)
 
 
 def require_intertwines(m: AffineElement, src: GroupPresentation,
@@ -447,26 +526,16 @@ def require_intertwines(m: AffineElement, src: GroupPresentation,
     m·γ·m⁻¹ ∉ dst raises; it never depends on the membership bound, so
     membership is asked at bound 0 and an inconclusive answer passes.  A
     generated dst certifies no FALSE, so only a Q src is refused there.  A
-    src of any other kind (a presentation subclass outside these four) has
-    no sample and passes unchecked."""
+    src kind whose `intertwining_sample` is empty passes unchecked."""
     if isinstance(src, RationalTranslations):
         if not isinstance(dst, RationalTranslations):
             raise InconsistentTransitionError(
                 f"{what} does not intertwine the groups: the rational "
                 f"translations fit in no {type(dst).__name__}")
         return
-    if isinstance(src, TranslationLattice):
-        sample = [AffineElement.translation(g) for g in src.generators]
-    elif isinstance(src, FiniteMatrixGroup):
-        sample = src.elements
-    elif isinstance(src, GeneratedGroup):
-        sample = src.generators
-    else:
-        sample = ()
     inv = m.invert()
-    for gamma in sample:
-        if membership_status(dst, m.compose(gamma).compose(inv),
-                             0) is Trit.FALSE:
+    for gamma in src.intertwining_sample:
+        if dst.contains(m.compose(gamma).compose(inv), 0) is Trit.FALSE:
             raise InconsistentTransitionError(
                 f"{what} does not intertwine the groups: {gamma} "
                 "conjugates outside the target group")

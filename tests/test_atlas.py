@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasifolds.atlas import (Atlas, Chart, CircleArrow, Interval, _Coset,
+from quasifolds.atlas import (Atlas, Chart, CircleArrow, Interval,
                               QuasifoldPointHandle, StructureGroupoid,
                               Transition, build_groupoid, circle_arrow_compose,
                               phi_arrow, phi_object)
@@ -20,7 +20,7 @@ from quasifolds.errors import (InconsistentTransitionError, NotComposableError,
                                QuasifoldError)
 from quasifolds.exact import AffineElement, Trit, qa
 from quasifolds.groupoid import Arrow, NebulaPoint, arrow_compose
-from quasifolds.groups import (FiniteMatrixGroup, GeneratedGroup,
+from quasifolds.groups import (Coset, FiniteMatrixGroup, GeneratedGroup,
                                RationalTranslations, TranslationLattice)
 
 
@@ -415,7 +415,7 @@ class TestMixedRationalLatticeCoset:
             is Trit.UNKNOWN
 
     def test_generators_with_alpha_parts(self):
-        coset = _Coset("q", (qa(0),), ((qa(1, 1),), (qa(0, 2),)), True)
+        coset = Coset((qa(0),), ((qa(1, 1),), (qa(0, 2),)), True)
         assert coset.contains_point((qa(Fraction(1, 2), 1),)) is True
         assert coset.contains_point((qa(Fraction(-5, 3), 3),)) is True
         assert coset.contains_point((qa(7),)) is True
@@ -467,3 +467,27 @@ class TestCircleFunctor:
         v = CircleArrow(qa(Fraction(1, 2)), qa(0, 1))
         with pytest.raises(NotComposableError):
             circle_arrow_compose(u, v)
+
+
+class TestHalfBoundedOverlap:
+    """A transition is refused when no sample point of its source domain
+    lands in its target domain; on a half-bounded side the sample is the
+    interval's midpoint, one unit inside its finite end."""
+
+    def test_midpoint_of_half_bounded_intervals(self):
+        assert Interval(lo=qa(0)).midpoint() == qa(1)
+        assert Interval(hi=qa(0)).midpoint() == qa(-1)
+
+    def atlas(self, dst_domain):
+        trivial = FiniteMatrixGroup((AffineElement.identity(1),))
+        return Atlas((Chart("right", trivial, (Interval(lo=qa(0)),)),
+                      Chart("left", trivial, (dst_domain,))),
+                     (Transition("right", "left", AffineElement.identity(1)),))
+
+    def test_empty_overlap_sample_is_refused(self):
+        with pytest.raises(InconsistentTransitionError,
+                           match="empty overlap sample"):
+            StructureGroupoid(self.atlas(Interval(hi=qa(0))))
+
+    def test_sample_inside_the_target_is_accepted(self):
+        StructureGroupoid(self.atlas(Interval(lo=qa(Fraction(1, 2)))))

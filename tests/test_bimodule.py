@@ -250,3 +250,17 @@ class TestGenerateGerms:
         for z in generate_germs(bi, word_length=1):
             assert z.dst_chart == "half"
             assert z.trg == class_map(z)
+
+
+def test_source_probe_falls_back_to_arrows_between():
+    """On the duplicated bi-atlas at bound 1 no arrow of the seed's fiber
+    starts at main:2, so the germ comes from `arrows_between(point, seed
+    source)`, the probe's second route."""
+    bi = duplicated_biatlas()
+    point = pt(qa(2))
+    (seed,) = bi.seeds
+    assert not [g for g in bi.left_groupoid().fiber_over(seed.src, 1)
+                if g.src == point]
+    z = source_probe(bi, point, bound=1)
+    assert str(z) == "main:(2) =t[-2]=> main"
+    assert z.src == point and z.trg == seed.trg

@@ -229,9 +229,9 @@ def is_vector(text: str, dimension: int) -> bool:
 
 
 def is_alpha(text: str) -> bool:
-    """Is text a finite decimal whose float is finite ("" and "default"
-    name the default witness)?"""
-    if text in ("", "default"):
+    """Is text a finite decimal whose float is finite ("default" names the
+    default witness; an empty value is refused)?"""
+    if text == "default":
         return True
     try:
         value = Decimal(text)
@@ -521,3 +521,52 @@ class TestCommandContent:
         unit = next(c for c in report["checks"] if c["name"] == "unit-laws")
         assert unit["status"] == "pass"
         assert code == EXIT_PASS
+
+
+# commands and options no other test runs, each at a small size: (argv, the
+# (check name, status) pairs of its report)
+UNCOVERED_RUNS = [
+    (("rq-algebra", "--trials", "5"),
+     [("routes-agree", "pass"), ("star-is-adjoint", "pass"),
+      ("product-order-constant", "pass")]),
+    (("lift", "fit", "--kind", "affine"), [("fit-affine", "pass")]),
+    (("lift", "fit", "--kind", "quadratic"), [("fit-quadratic", "pass")]),
+    (("lift", "fit", "--kind", "stitched"), [("fit-stitched", "pass")]),
+    (("lift", "detect", "--stitch", "3"), [("detect-stitched-3", "pass")]),
+    (("lift", "detect", "--stitch", "3", "--group", "rational"),
+     [("detect-stitched-3", "pass")]),
+    (("lift", "detect", "--gamma", "2+α*3"),
+     [("detect-single-element", "pass")]),
+    (("repr", "--p", "1", "--pairs", "2", "--z-samples", "2"),
+     [("product-order-constant", "pass"), ("repr-multiplicative-p1", "pass"),
+      ("repr-p1-pointwise", "pass")]),
+]
+
+
+@pytest.mark.parametrize("argv, checks", UNCOVERED_RUNS,
+                         ids=[" ".join(argv) for argv, _ in UNCOVERED_RUNS])
+def test_small_runs_pass_and_repeat_byte_for_byte(capsys, argv, checks):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_PASS
+    report = json.loads(out)
+    assert [(c["name"], c["status"]) for c in report["checks"]] == checks
+    assert run(capsys, *argv)[:2] == (EXIT_PASS, out)
+
+
+class TestEmptyAlpha:
+    """An empty --alpha flag is refused; an empty QUASIFOLD_ALPHA means the
+    variable is unset."""
+
+    @pytest.mark.parametrize("argv", [("--alpha=",), ("--alpha", "")])
+    def test_empty_flag_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, "rotation", "--max-power", "1", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.splitlines() == ["error: no value given for --alpha"]
+
+    def test_empty_environment_value_means_unset(self, capsys, monkeypatch):
+        _, unset, _ = run(capsys, "rotation", "--max-power", "1")
+        monkeypatch.setenv("QUASIFOLD_ALPHA", "")
+        code, out, _ = run(capsys, "rotation", "--max-power", "1")
+        assert code == EXIT_PASS
+        assert out == unset

@@ -1,6 +1,7 @@
 """Exact number layer: Q+Qα scalars, the order witness, affine maps."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -379,3 +380,24 @@ class TestAffineElement:
         pts = [(qa(0), qa(0)), (qa(1), qa(0)), (qa(0), qa(1))]
         images = [g.apply(p) for p in pts]
         assert affine_from_point_images(pts, images) == g
+
+
+# the Mersenne prime 2⁶¹ − 1: Python's hash modulus on 64-bit builds
+MODULUS = 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("p, q", [
+    (Fraction(3, MODULUS), 0),
+    (Fraction(-3, MODULUS), 0),
+    (Fraction(1, 2), Fraction(5, 2 * MODULUS)),
+    (Fraction(7, 3 * MODULUS), Fraction(-1, MODULUS)),
+])
+def test_hash_when_the_modulus_divides_the_denominator(p, q):
+    """d has no inverse mod the hash modulus, so the cached hash falls back
+    to hashing the Fraction; the value is still that of the pair (p, q),
+    which keeps set and dict orders the same as before hashes were cached."""
+    assert sys.hash_info.modulus == MODULUS
+    x = qa(p, q)
+    assert x.triple[2] % MODULUS == 0
+    # computed, then read from the cache
+    assert hash(x) == hash(x) == hash((p, Fraction(q)))

@@ -443,3 +443,36 @@ def test_a_source_kind_without_a_sample_passes_unchecked():
     m = AffineElement.linear(((Fraction(2),),))
     for dst in INTERTWINING_GROUPS.values():
         require_intertwines(m, Opaque(), dst, "map")
+
+
+class TestFiniteMatrixGroupConstruction:
+    def test_refuses_duplicates(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            FiniteMatrixGroup((AffineElement.identity(1),
+                               AffineElement.identity(1)))
+
+    def test_refuses_a_missing_identity(self):
+        with pytest.raises(ValueError, match="identity"):
+            FiniteMatrixGroup((AffineElement.linear(((Fraction(-1),),)),))
+
+    def test_refuses_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            FiniteMatrixGroup((AffineElement.identity(1),
+                               AffineElement.identity(2)))
+
+    def test_refuses_non_closure_under_composition(self):
+        # closed under inversion (t₋₁ = t₁⁻¹), but t₁∘t₁ = t₂ is missing
+        t1 = AffineElement.translation((qa(1),))
+        with pytest.raises(ValueError, match="composition"):
+            FiniteMatrixGroup((AffineElement.identity(1), t1, t1.invert()))
+
+
+def test_rational_translations_in_the_plane_enumerate_in_product_order():
+    """The height-1 line values are 0, -1, 1, and the plane takes their
+    product in that order."""
+    line = (0, -1, 1)
+    assert RationalTranslations(2).enumerate(1) == tuple(
+        AffineElement.translation((qa(x), qa(y)))
+        for x, y in itertools.product(line, repeat=2))
+    assert [g.b for g in RationalTranslations(2).enumerate(1)][:4] == [
+        (qa(0), qa(0)), (qa(0), qa(-1)), (qa(0), qa(1)), (qa(-1), qa(0))]
