@@ -28,6 +28,7 @@ the map reverses products: M(f·g) = M(g)·M(f).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -212,14 +213,19 @@ class AlgebraElement:
         return total
 
 
-def _support_order(entry):
-    return entry[0].sort_key()
-
-
 def _normal_support(entries: dict) -> tuple:
-    """Nonzero (key, coefficient) pairs in report order."""
-    return tuple(sorted(((k, c) for k, c in entries.items() if not c.is_zero),
-                        key=_support_order))
+    """Nonzero (key, coefficient) pairs in report order: by `QAlpha.sort_key`,
+    the pair (p, q), compared here as the integers (a·L/d, b·L/d) of each
+    key's triple (a, b, d) over the common denominator L of all keys."""
+    live = [(k, c) for k, c in entries.items() if not c.is_zero]
+    common = math.lcm(*(k.triple[2] for k, _ in live))
+
+    def order(entry):
+        a, b, d = entry[0].triple
+        m = common // d
+        return a * m, b * m
+
+    return tuple(sorted(live, key=order))
 
 
 def _add_term(entries: dict, key, term) -> None:

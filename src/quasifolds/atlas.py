@@ -433,23 +433,64 @@ def build_groupoid(atlas: Atlas) -> StructureGroupoid:
 
 
 def _overlap_sample(src: Chart, dst: Chart, m: AffineElement):
-    """A point of dom(src) whose image lies in dom(dst), or None."""
-    if src.domain is None:
-        candidates = [tuple(QAlpha() for _ in range(src.dimension))]
-    else:
-        # the midpoint, then the quarter points (midpoints of unbounded sides)
-        candidates = [tuple(
-            iv.lo + (iv.hi - iv.lo).scale(t)
-            if iv.lo is not None and iv.hi is not None else iv.midpoint()
-            for iv in src.domain)
-            for t in (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))]
-    for pt in candidates:
+    """A point of dom(src) whose image lies in dom(dst), or None.
+
+    The candidates are the midpoint and the quarter points of dom(src) (on
+    a half-bounded side, one unit inside its finite end), then, when m's
+    linear part is diagonal, the midpoint of the overlap box.  A near-tie
+    (PrecisionInsufficientError) counts as a miss."""
+    for pt in _sample_candidates(src, dst, m):
         try:
             if src.contains(pt) and dst.contains(m.apply(pt)):
                 return pt
         except PrecisionInsufficientError:
             continue
     return None
+
+
+def _sample_candidates(src: Chart, dst: Chart, m: AffineElement):
+    if src.domain is None:
+        yield tuple(QAlpha() for _ in range(src.dimension))
+    else:
+        for t in (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)):
+            yield tuple(iv.lo + (iv.hi - iv.lo).scale(t)
+                        if iv.lo is not None and iv.hi is not None
+                        else iv.midpoint() for iv in src.domain)
+    if all(x == 0 for i, row in enumerate(m.a)
+           for j, x in enumerate(row) if i != j):
+        box = _overlap_box(src, dst, m)
+        if box is not None:
+            yield tuple(iv.midpoint() for iv in box)
+
+
+def _overlap_box(src: Chart, dst: Chart, m: AffineElement):
+    """dom(src) ∩ m⁻¹(dom(dst)) as intervals, for m with a diagonal linear
+    part (possibly empty: an interval whose lo is not below its hi), or
+    None on a near-tie.  On coordinate i m is x ↦ s·x + b, and the preimage
+    of (lo, hi) is ((lo − b)/s, (hi − b)/s), its ends swapped when s < 0."""
+    compare = default_witness().compare
+    box = []
+    for i in range(src.dimension):
+        s, b = m.a[i][i], m.b[i]
+        pre = [None if e is None else (e - b).scale(1 / s)
+               for e in _ends(dst.domain, i)]
+        if s < 0:
+            pre.reverse()
+        lo, hi = _ends(src.domain, i)
+        try:
+            if lo is None or pre[0] is not None and compare(pre[0], lo) > 0:
+                lo = pre[0]
+            if hi is None or pre[1] is not None and compare(pre[1], hi) < 0:
+                hi = pre[1]
+        except PrecisionInsufficientError:
+            return None
+        box.append(Interval(lo, hi))
+    return box
+
+
+def _ends(domain, i: int) -> tuple:
+    """(lo, hi) of coordinate i of a chart domain (None = unbounded)."""
+    return (None, None) if domain is None else (domain[i].lo, domain[i].hi)
 
 
 # ---------------------------------------------------------------------------

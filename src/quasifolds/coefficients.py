@@ -2,7 +2,11 @@
 
 TrigPoly: finite Fourier sums on R/Z, modes k ↦ c_k; rotation by t multiplies
 c_k by e^{2πikt}, so rational and α-rotations act exactly on the mode index
-structure (numerically on the values).
+structure (numerically on the values).  A TrigPoly is stored as the dense row
+the kernels take: its first mode and the coefficients of every mode from
+there to its last, so products, rotations, sums and distances run on rows
+with no conversion, and the sorted nonzero `modes` are derived on read.  A
+row holds the poly's full mode span, zeros included.
 
 PiecewisePoly: compactly supported piecewise polynomials on R with exact
 Q+Qα breakpoints.  Piece coefficients are stored in local coordinates
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Sequence
 
 from . import _kernels as K
@@ -30,20 +34,64 @@ from .exact import QAlpha, _as_qalpha, default_witness
 __all__ = ["TrigPoly", "PiecewisePoly"]
 
 
-@dataclass(frozen=True)
 class TrigPoly:
-    """Finite complex Fourier sum Σ c_k e^{2πikx}; zero coefficients pruned."""
+    """Finite complex Fourier sum Σ c_k e^{2πikx}, stored as a dense row.
 
-    modes: tuple = ()  # sorted ((k, complex), ...)
+    `coeffs[i]` is the coefficient of mode `offset + i`; the first and last
+    are nonzero and an interior zero is stored as +0j (the zero poly has
+    offset 0 and no coefficients).  `modes`, the sorted ((k, c), ...) pairs
+    with zero coefficients pruned, is derived from the row.  The class
+    behaves as a frozen dataclass with the one field `modes`: the public
+    constructor stores its argument and calls `__post_init__`, which checks
+    it and builds the row; equality, hash and repr are those of `modes`.
+    """
+
+    __slots__ = ("offset", "coeffs")
+
+    def __init__(self, modes: tuple = ()):
+        _set_coeffs(self, modes)  # the row replaces it in __post_init__
+        self.__post_init__()
 
     def __post_init__(self):
+        raw = self.coeffs
         modes = {k if k.__class__ is int else _mode_index(k): complex(c)
-                 for k, c in self.modes}
-        if len(modes) != len(self.modes):
+                 for k, c in raw}
+        if len(modes) != len(raw):
             raise QuasifoldError("TrigPoly mode indices must be distinct")
-        cleaned = tuple(sorted((k, c) for k, c in modes.items() if c != 0))
-        _require_finite((c for _, c in cleaned), "TrigPoly")
-        object.__setattr__(self, "modes", cleaned)
+        _require_finite(modes.values(), "TrigPoly")
+        live = [k for k, c in modes.items() if c]
+        lo = min(live, default=0)
+        row = [0j] * (max(live, default=lo - 1) - lo + 1)
+        for k in live:
+            row[k - lo] = modes[k]
+        _set_offset(self, lo)
+        _set_coeffs(self, tuple(row))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return TrigPoly, (self.modes,)
+
+    def __eq__(self, other):
+        if other.__class__ is not TrigPoly:
+            return NotImplemented
+        # trimmed rows are equal exactly when their nonzero modes are
+        return self.offset == other.offset and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.modes,))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(modes={self.modes!r})"
+
+    @property
+    def modes(self) -> tuple:
+        off = self.offset
+        return tuple((off + i, c) for i, c in enumerate(self.coeffs) if c)
 
     @staticmethod
     def from_dict(d: dict) -> "TrigPoly":
@@ -62,59 +110,78 @@ class TrigPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.modes
+        return not self.coeffs
 
     @staticmethod
-    def _from_dense(off, arr) -> "TrigPoly":
-        return _trig(tuple((off + i, c) for i, c in enumerate(arr) if c != 0))
+    def _from_dense(off: int, arr) -> "TrigPoly":
+        """TrigPoly from the coefficients `arr` of modes off, off + 1, ...,
+        skipping `__post_init__`: zero ends are cut off and interior zeros
+        stored as +0j."""
+        i, n = 0, len(arr)
+        while i < n and not arr[i]:
+            i += 1
+        while n > i and not arr[n - 1]:
+            n -= 1
+        row = tuple(arr[i:n])
+        if 0j in row:
+            row = tuple(c if c else 0j for c in row)
+        poly = _new(TrigPoly)
+        _set_offset(poly, off + i if row else 0)
+        _set_coeffs(poly, row)
+        return poly
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        d = dict(self.modes)
-        for k, c in other.modes:
-            d[k] = d.get(k, 0j) + c
-        return _trig(tuple(sorted((k, c) for k, c in d.items() if c != 0)))
+        """Coefficientwise sum: a mode only self has keeps its coefficient,
+        a mode only other has gets 0j + c, as a sum of mode dicts does."""
+        lo, (a, b) = dense_rows((self, other))
+        row = list(a)
+        for j, c in enumerate(b):
+            if c:
+                row[j] += c
+        return TrigPoly._from_dense(lo, row)
 
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
         if self.is_zero or other.is_zero:
             return TrigPoly()
-        oa, (a,) = dense_rows((self,))
-        ob, (b,) = dense_rows((other,))
-        off, arr = K.trig_mul(oa, a, ob, b)
+        off, arr = K.trig_mul(self.offset, self.coeffs,
+                              other.offset, other.coeffs)
         return TrigPoly._from_dense(off, arr)
 
     def scale(self, s) -> "TrigPoly":
         s = complex(s)
-        products = ((k, c * s) for k, c in self.modes)
-        modes = tuple(m for m in products if m[1] != 0)
-        _require_finite((c for _, c in modes), "TrigPoly")
-        return _trig(modes)
+        row = [c * s for c in self.coeffs]
+        _require_finite(row, "TrigPoly")
+        return TrigPoly._from_dense(self.offset, row)
 
     def conjugate(self) -> "TrigPoly":
         """Pointwise complex conjugate: c_k ↦ conj(c_{−k})."""
-        return _trig(tuple((-k, c.conjugate())
-                           for k, c in reversed(self.modes)))
+        return TrigPoly._from_dense(
+            1 - self.offset - len(self.coeffs),
+            [c.conjugate() for c in reversed(self.coeffs)])
 
     def rotate(self, t: float) -> "TrigPoly":
         """Precompose with rotation: x ↦ x + t (c_k picks up e^{2πikt})."""
-        off, (arr,) = dense_rows((self,))
-        return TrigPoly._from_dense(off, K.trig_rotate(off, arr, float(t)))
+        off = self.offset
+        return TrigPoly._from_dense(off, K.trig_rotate(off, self.coeffs,
+                                                       float(t)))
 
     def eval(self, x: float) -> complex:
-        off, (arr,) = dense_rows((self,))
-        return K.trig_eval(off, arr, float(x))
+        return K.trig_eval(self.offset, self.coeffs, float(x))
 
     def sup_bound(self) -> float:
-        return sum(abs(c) for _, c in self.modes)
+        return sum(map(abs, self.coeffs))
 
     def distance(self, other: "TrigPoly") -> float:
         _, (a, b) = dense_rows((self, other))
-        return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+        return max(map(abs, map(operator.sub, a, b)), default=0.0)
 
     def allclose(self, other: "TrigPoly", tol: float) -> bool:
         return self.distance(other) <= tol
 
     def degree(self) -> int:
-        return max((abs(k) for k, _ in self.modes), default=0)
+        if not self.coeffs:
+            return 0
+        return max(-self.offset, self.offset + len(self.coeffs) - 1)
 
     def to_json(self):
         return {"kind": "trig",
@@ -126,6 +193,11 @@ class TrigPoly:
                               for k, (re, im) in obj["modes"].items()))
 
 
+_new = object.__new__
+_set_offset = TrigPoly.offset.__set__
+_set_coeffs = TrigPoly.coeffs.__set__
+
+
 def _mode_index(k) -> int:
     """k as an int: an integer, or the decimal string of one (JSON keys)."""
     try:
@@ -135,36 +207,27 @@ def _mode_index(k) -> int:
 
 
 def dense_rows(polys) -> tuple:
-    """(first mode, rows): each TrigPoly's coefficients on one common mode
-    range, missing modes filled with 0j (empty rows if all polys are 0)."""
-    lo = hi = None
-    for p in polys:
-        if p.modes:
-            first, last = p.modes[0][0], p.modes[-1][0]
-            lo = first if lo is None else min(lo, first)
-            hi = last if hi is None else max(hi, last)
-    if lo is None:
-        return 0, [[] for _ in polys]
+    """(first mode, rows): each TrigPoly's coefficients padded with 0j to one
+    common mode range (empty rows if all polys are 0)."""
+    live = [p for p in polys if p.coeffs]
+    if not live:
+        return 0, [() for _ in polys]
+    lo = min(p.offset for p in live)
+    hi = max(p.offset + len(p.coeffs) for p in live)
     rows = []
     for p in polys:
-        row = [0j] * (hi - lo + 1)
-        for k, c in p.modes:
-            row[k - lo] = c
-        rows.append(row)
+        c = p.coeffs
+        if c:
+            rows.append((0j,) * (p.offset - lo) + c
+                        + (0j,) * (hi - p.offset - len(c)))
+        else:
+            rows.append((0j,) * (hi - lo))
     return lo, rows
 
 
 def _require_finite(coefficients, kind: str):
     if not all(map(cmath.isfinite, coefficients)):
         raise QuasifoldError(f"{kind} coefficients must be finite")
-
-
-def _trig(modes: tuple) -> TrigPoly:
-    """TrigPoly from modes already in normal form (sorted int indices,
-    nonzero complex values), skipping `__post_init__`."""
-    poly = object.__new__(TrigPoly)
-    object.__setattr__(poly, "modes", modes)
-    return poly
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasifolds.algebra import (REPRESENTATION_PRODUCT_ORDER, AlgebraElement,
                                 CircleModel, ComplexMatrix, LineModel,
@@ -15,6 +17,7 @@ from quasifolds.algebra import (REPRESENTATION_PRODUCT_ORDER, AlgebraElement,
                                 involute, matrix_representation,
                                 random_circle_element, random_line_element,
                                 rotation_relation)
+from quasifolds.algebra import _normal_support
 from quasifolds.coefficients import PiecewisePoly, TrigPoly
 from quasifolds.errors import (MixedCoefficientKindError, QuasifoldError,
                                SupportEscapesSubgroupError)
@@ -352,3 +355,50 @@ class TestSupEvalBound:
         for row in M.rows:
             for v in row:
                 assert abs(v) <= bound + 1e-12
+
+
+class TestSupportOrder:
+    """`_normal_support` sorts by integers over the keys' common denominator;
+    the order must be exactly that of `QAlpha.sort_key`, the pair (p, q)."""
+
+    ints = st.integers(-2 ** 70, 2 ** 70) | st.integers(-3, 3)
+    dens = st.integers(1, 2 ** 70) | st.sampled_from([1, 2, 3, 6, 2 ** 64 + 1])
+    keys = st.builds(lambda a, b, c, d: qa(Fraction(a, b), Fraction(c, d)),
+                     ints, dens, ints, dens)
+
+    @staticmethod
+    def check(entries: dict):
+        want = tuple(sorted(((k, c) for k, c in entries.items()
+                             if not c.is_zero),
+                            key=lambda e: e[0].sort_key()))
+        assert _normal_support(entries) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(keys, max_size=12))
+    @example([qa(Fraction(1, 3)), qa(Fraction(1, 2)), qa(0, Fraction(-1, 6)),
+              qa(Fraction(-1, 2**64 + 1), 1), qa(Fraction(-1, 2**64), 1),
+              qa(Fraction(-1, 2**64), Fraction(1, 3))])
+    def test_matches_sort_key(self, ks):
+        self.check({k: TrigPoly.one() for k in ks})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9),
+                              st.booleans()), max_size=12))
+    def test_line_keys_and_zero_coefficients(self, triples):
+        # line keys n + mα have d = 1; zero coefficients drop out
+        self.check({qa(n, m): bump(qa(0), qa(1), 1.0 if live else 0.0)
+                    if live else PiecewisePoly.zero()
+                    for n, m, live in triples})
+
+    @pytest.mark.parametrize("subgroup", ["rational", "alpha", "full"])
+    def test_circle_elements(self, subgroup):
+        rng = random.Random(2201)
+        model = CircleModel(subgroup)
+        for _ in range(20):
+            f = random_circle_element(rng, model, n_keys=6, denominator=12,
+                                      alpha_span=5)
+            g = random_circle_element(rng, model, n_keys=4, denominator=10)
+            for e in (f, f * g, f + g, involute(f)):
+                assert e.keys() == tuple(sorted(e.keys(),
+                                                key=lambda k: k.sort_key()))
+                self.check(dict(e.support))

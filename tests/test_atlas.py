@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from quasifolds.atlas import (Atlas, Chart, CircleArrow, Interval,
                               QuasifoldPointHandle, StructureGroupoid,
-                              Transition, build_groupoid, circle_arrow_compose,
-                              phi_arrow, phi_object)
+                              Transition, _overlap_sample, build_groupoid,
+                              circle_arrow_compose, phi_arrow, phi_object)
 from quasifolds.catalog import (get_atlas, get_biatlas,
                                 rational_quotient_atlas,
                                 reflection_orbifold_atlas, t_alpha_atlas,
@@ -26,6 +26,14 @@ from quasifolds.groups import (Coset, FiniteMatrixGroup, GeneratedGroup,
 
 def pt(x, chart="main"):
     return NebulaPoint(chart, (x,))
+
+
+def _fibonacci_near_tie():
+    """F_144·α − F_143 ≈ −8e-31, inside the default witness's margin."""
+    fib = [0, 1]
+    while len(fib) <= 144:
+        fib.append(fib[-1] + fib[-2])
+    return qa(-fib[143], fib[144])
 
 
 class TestAtlasValidation:
@@ -471,18 +479,23 @@ class TestCircleFunctor:
 
 class TestHalfBoundedOverlap:
     """A transition is refused when no sample point of its source domain
-    lands in its target domain; on a half-bounded side the sample is the
-    interval's midpoint, one unit inside its finite end."""
+    lands in its target domain.  The midpoint and quarter points of the
+    source domain are tried first (on a half-bounded side, the interval's
+    midpoint, one unit inside its finite end); when they all miss and the
+    map's linear part is diagonal, the midpoint of the exact overlap box
+    dom(src) ∩ m⁻¹(dom(dst))."""
+
+    TRIVIAL = FiniteMatrixGroup((AffineElement.identity(1),))
 
     def test_midpoint_of_half_bounded_intervals(self):
         assert Interval(lo=qa(0)).midpoint() == qa(1)
         assert Interval(hi=qa(0)).midpoint() == qa(-1)
 
-    def atlas(self, dst_domain):
-        trivial = FiniteMatrixGroup((AffineElement.identity(1),))
-        return Atlas((Chart("right", trivial, (Interval(lo=qa(0)),)),
-                      Chart("left", trivial, (dst_domain,))),
-                     (Transition("right", "left", AffineElement.identity(1)),))
+    def atlas(self, dst_domain, m=AffineElement.identity(1),
+              src_domain=Interval(lo=qa(0))):
+        return Atlas((Chart("right", self.TRIVIAL, (src_domain,)),
+                      Chart("left", self.TRIVIAL, (dst_domain,))),
+                     (Transition("right", "left", m),))
 
     def test_empty_overlap_sample_is_refused(self):
         with pytest.raises(InconsistentTransitionError,
@@ -491,3 +504,70 @@ class TestHalfBoundedOverlap:
 
     def test_sample_inside_the_target_is_accepted(self):
         StructureGroupoid(self.atlas(Interval(lo=qa(Fraction(1, 2)))))
+
+    def test_overlap_within_one_unit_of_the_end_is_found(self):
+        # (0, ∞) ∩ (−∞, 1): every domain sample is 1, on the target's end
+        StructureGroupoid(self.atlas(Interval(hi=qa(1))))
+        assert _overlap_sample(
+            Chart("right", self.TRIVIAL, (Interval(lo=qa(0)),)),
+            Chart("left", self.TRIVIAL, (Interval(hi=qa(1)),)),
+            AffineElement.identity(1)) == (qa(Fraction(1, 2)),)
+
+    def test_reflection_into_a_half_line_is_found(self):
+        # x ↦ −x carries (0, ½) into (−½, ∞); the domain sample 1 goes to −1
+        StructureGroupoid(self.atlas(Interval(lo=qa(Fraction(-1, 2))),
+                                     AffineElement.linear([[-1]])))
+
+    def test_near_tie_counts_as_no_sample(self):
+        # the box is (0, x) with x ≈ −8e-31: its midpoint cannot be placed
+        # against 0, and the transition is refused, not left to raise
+        x = _fibonacci_near_tie()
+        with pytest.raises(InconsistentTransitionError,
+                           match="empty overlap sample"):
+            StructureGroupoid(self.atlas(Interval(hi=x)))
+
+    def test_diagonal_map_in_two_dimensions(self):
+        trivial = FiniteMatrixGroup((AffineElement.identity(2),))
+        right = (Interval(lo=qa(0)), Interval(lo=qa(0)))
+        m = AffineElement(((2, 0), (0, -1)), (qa(0), qa(3)))
+        # image of (0, ∞)² is (0, ∞) × (−∞, 3); the target asks for
+        # (−∞, 1) × (2.5, ∞), so the overlap is (0, ½) × (0, ½)
+        left = (Interval(hi=qa(1)), Interval(lo=qa(Fraction(5, 2))))
+        atlas = Atlas((Chart("right", trivial, right),
+                       Chart("left", trivial, left)),
+                      (Transition("right", "left", m),))
+        StructureGroupoid(atlas)
+        assert _overlap_sample(atlas.chart("right"), atlas.chart("left"),
+                               m) == (qa(Fraction(1, 4)), qa(Fraction(1, 4)))
+
+    ends = st.one_of(st.none(), st.fractions(-4, 4, max_denominator=4))
+
+    @settings(max_examples=150, deadline=None)
+    @given(ends, ends, ends, ends,
+           st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
+                            Fraction(-1, 3)]),
+           st.fractions(-3, 3, max_denominator=3))
+    def test_builds_exactly_when_the_overlap_is_nonempty(
+            self, lo, hi, dlo, dhi, s, b):
+        if lo is not None and hi is not None and lo >= hi:
+            lo = None
+        if dlo is not None and dhi is not None and dlo >= dhi:
+            dhi = None
+        # the image of (lo, hi) under x ↦ s·x + b, met with (dlo, dhi)
+        img = [None if e is None else s * e + b for e in (lo, hi)]
+        if s < 0:
+            img.reverse()
+        low = max((e for e in (img[0], dlo) if e is not None), default=None)
+        high = min((e for e in (img[1], dhi) if e is not None), default=None)
+        nonempty = low is None or high is None or low < high
+        atlas = self.atlas(Interval(*(None if e is None else qa(e)
+                                      for e in (dlo, dhi))),
+                           AffineElement(((s,),), (qa(b),)),
+                           Interval(*(None if e is None else qa(e)
+                                      for e in (lo, hi))))
+        if nonempty:
+            StructureGroupoid(atlas)
+        else:
+            with pytest.raises(InconsistentTransitionError,
+                               match="empty overlap sample"):
+                StructureGroupoid(atlas)
