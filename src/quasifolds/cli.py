@@ -25,8 +25,7 @@ from . import algebra as alg
 from . import bimodule as bim
 from . import lifting as lift
 from .atlas import StructureGroupoid
-from .catalog import (builtin_atlases, builtin_biatlases, get_atlas,
-                      get_biatlas, z_alpha_lattice)
+from .catalog import builtin_atlases, builtin_biatlases, z_alpha_lattice
 from .errors import (FibersIncompatibleError, InconclusiveAtBoundError,
                      PrecisionInsufficientError, QuasifoldError)
 from .exact import (AlphaWitness, QAlpha, compare, default_witness, qa,
@@ -190,30 +189,28 @@ def render(report: dict, fmt: str) -> str:
 # argument helpers
 # ---------------------------------------------------------------------------
 
-def resolve_atlas(spec: str):
-    if spec in builtin_atlases():
-        return get_atlas(spec)
+def _resolve(spec: str, builtins: dict, load, what: str):
+    """A built-in by name, or the JSON file at `spec` read by `load`; a
+    file that cannot be read or has the wrong shape is a usage error."""
+    if spec in builtins:
+        return builtins[spec]()
     path = Path(spec)
     if path.exists():
         try:
-            return load_atlas_file(path)
-        except (QuasifoldError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot parse atlas file {spec}: {exc}")
-    raise UsageError(f"unknown atlas {spec!r} (builtin: "
-                     f"{sorted(builtin_atlases())}; or give a JSON file)")
+            return load(path)
+        except (OSError, QuasifoldError, KeyError, ValueError, TypeError,
+                AttributeError) as exc:
+            raise UsageError(f"cannot parse {what} file {spec}: {exc}")
+    raise UsageError(f"unknown {what} {spec!r} (builtin: "
+                     f"{sorted(builtins)}; or give a JSON file)")
+
+
+def resolve_atlas(spec: str):
+    return _resolve(spec, builtin_atlases(), load_atlas_file, "atlas")
 
 
 def resolve_biatlas(spec: str):
-    if spec in builtin_biatlases():
-        return get_biatlas(spec)
-    path = Path(spec)
-    if path.exists():
-        try:
-            return load_biatlas_file(path)
-        except (QuasifoldError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot parse bi-atlas file {spec}: {exc}")
-    raise UsageError(f"unknown bi-atlas {spec!r} (builtin: "
-                     f"{sorted(builtin_biatlases())}; or give a JSON file)")
+    return _resolve(spec, builtin_biatlases(), load_biatlas_file, "bi-atlas")
 
 
 def parse_point(text: str, atlas) -> NebulaPoint:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import FrozenInstanceError, dataclass
 from decimal import Context, Decimal, localcontext
 from enum import Enum
@@ -68,26 +67,6 @@ def parse_rational(text: str) -> Fraction:
 # Q + Q·α
 # ---------------------------------------------------------------------------
 
-_HASH_MODULUS = sys.hash_info.modulus
-
-
-def _part_hash(n: int, d: int) -> int:
-    """hash(Fraction(n, d)) for d > 0, without building the Fraction.
-
-    Python hashes a rational as n·d⁻¹ modulo `sys.hash_info.modulus`, so a
-    common factor of n and d does not change it.
-    """
-    if d == 1:
-        return hash(n)
-    try:
-        h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
-    except ValueError:  # the modulus divides d
-        return hash(Fraction(n, d))
-    if n < 0:
-        h = -h
-    return -2 if h == -1 else h
-
-
 def _ratio_text(n: int, d: int) -> str:
     """str(Fraction(n, d)) for d > 0, without building the Fraction: "n" or
     "n/d" in lowest terms."""
@@ -102,17 +81,16 @@ def _ratio_text(n: int, d: int) -> str:
 
 
 class QAlpha:
-    """p + q·α with p, q rational; equality and hash are coefficientwise.
+    """p + q·α with p, q rational; equality is coefficientwise.
 
     The value is stored as the integer triple (a, b, d), meaning
     (a + b·α)/d with d > 0 and gcd(a, b, d) = 1.  Each value has exactly one
     triple, so equality compares three integers and arithmetic runs on
     integers with at most one gcd.  `p` and `q` build reduced Fractions when
-    read.  The hash is that of the pair (p, q), computed on first use and
-    kept in the `_hash` slot.
+    read.  The hash is that of the triple, so equal values hash equally.
     """
 
-    __slots__ = ("_t", "_hash")
+    __slots__ = ("_t",)
 
     def __init__(self, p=_ZERO, q=_ZERO):
         if p.__class__ is int and q.__class__ is int:
@@ -130,7 +108,6 @@ class QAlpha:
                 d = math.lcm(pd, qd)
                 t = (p.numerator * (d // pd), q.numerator * (d // qd), d)
         _set_t(self, t)
-        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -163,12 +140,7 @@ class QAlpha:
         return self._t == other._t
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            a, b, d = self._t
-            h = hash((_part_hash(a, d), _part_hash(b, d)))
-            _set_hash(self, h)
-        return h
+        return hash(self._t)
 
     # -- ring operations (never multiplies two α-terms) --
     def __add__(self, other: "QAlpha") -> "QAlpha":
@@ -300,7 +272,6 @@ class QAlpha:
 
 
 _set_t = QAlpha._t.__set__
-_set_hash = QAlpha._hash.__set__
 _new = object.__new__
 
 
@@ -308,7 +279,6 @@ def _qalpha(a: int, b: int, d: int) -> QAlpha:
     """QAlpha from a triple already in normal form."""
     x = _new(QAlpha)
     _set_t(x, (a, b, d))
-    _set_hash(x, None)
     return x
 
 
@@ -653,14 +623,12 @@ class AffineElement:
 
     The public constructor validates shape and invertibility.  `compose` and
     `invert` build their results with `_affine`, which skips both checks: a
-    product or inverse of valid elements is valid.  The hash is that of the
-    pair (a, b), computed once per instance from the integer parts of the
-    matrix entries and kept in `_hash`.
+    product or inverse of valid elements is valid.  Equality and the hash
+    generated by the dataclass are those of the pair (a, b).
     """
 
     a: Matrix
     b: tuple
-    _hash = None  # not a field: equality compares (a, b) only
 
     def __post_init__(self):
         a = _freeze_matrix(self.a)
@@ -671,16 +639,6 @@ class AffineElement:
             raise ValueError("linear part must be invertible")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            # _part_hash(n, d) is hash(Fraction(n, d)), and a tuple hashes
-            # only its items' hashes, so this is hash((self.a, self.b))
-            h = hash((tuple(tuple(_part_hash(x.numerator, x.denominator)
-                                  for x in row) for row in self.a), self.b))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     @property
     def n(self) -> int:

@@ -31,7 +31,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (DimensionMismatchError, EnumerationCapError,
-                     InconclusiveAtBoundError, InconsistentTransitionError)
+                     InconclusiveAtBoundError, InconsistentTransitionError,
+                     QuasifoldError)
 from .exact import AffineElement, QAlpha, Trit, mat_vec, solve_linear, vec_eq
 
 __all__ = [
@@ -204,6 +205,8 @@ class TranslationLattice(GroupPresentation):
         if not gens:
             raise ValueError("need at least one generator")
         n = len(gens[0])
+        if not n:
+            raise DimensionMismatchError("generators need dimension >= 1")
         if any(len(g) != n for g in gens):
             raise DimensionMismatchError("generator dimension mismatch")
         object.__setattr__(self, "generators", gens)
@@ -321,6 +324,13 @@ class RationalTranslations(GroupPresentation):
 
     dimension: int = 1
     translations_only = True
+
+    def __post_init__(self):
+        d = self.dimension
+        if d.__class__ is not int or d < 1:
+            raise QuasifoldError(
+                f"rational translations need an integer dimension >= 1, "
+                f"got {d!r}")
 
     @staticmethod
     def _line_values(bound: int):

@@ -51,7 +51,7 @@ def group_from_json(obj: dict):
         return TranslationLattice(tuple(
             tuple(QAlpha.parse(c) for c in g) for g in obj["generators"]))
     if kind == "rational":
-        return RationalTranslations(int(obj["dimension"]))
+        return RationalTranslations(obj["dimension"])
     if kind == "finite":
         return FiniteMatrixGroup(tuple(
             AffineElement.from_json(g) for g in obj["elements"]))

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from quasifolds.atlas import (Atlas, Chart, CircleArrow, Interval,
                               QuasifoldPointHandle, StructureGroupoid,
                               Transition, _overlap_sample, build_groupoid,
-                              circle_arrow_compose, phi_arrow, phi_object)
+                              circle_arrow_compose, circle_arrow_invert,
+                              phi_arrow, phi_object)
 from quasifolds.catalog import (get_atlas, get_biatlas,
                                 rational_quotient_atlas,
                                 reflection_orbifold_atlas, t_alpha_atlas,
@@ -19,7 +20,7 @@ from quasifolds.catalog import (get_atlas, get_biatlas,
 from quasifolds.errors import (InconsistentTransitionError, NotComposableError,
                                QuasifoldError)
 from quasifolds.exact import AffineElement, Trit, qa
-from quasifolds.groupoid import Arrow, NebulaPoint, arrow_compose
+from quasifolds.groupoid import Arrow, NebulaPoint, arrow_compose, arrow_invert
 from quasifolds.groups import (Coset, FiniteMatrixGroup, GeneratedGroup,
                                RationalTranslations, TranslationLattice)
 
@@ -431,6 +432,7 @@ class TestMixedRationalLatticeCoset:
 
 
 coeff = st.integers(min_value=-3, max_value=3)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 
 class TestGroupoidLaws:
@@ -469,6 +471,19 @@ class TestCircleFunctor:
         lhs = phi_arrow(arrow_compose(a, b))
         rhs = circle_arrow_compose(phi_arrow(a), phi_arrow(b))
         assert lhs == rhs
+
+    @given(x=rationals, y=rationals, t=rationals, u=rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_phi_commutes_with_inversion(self, x, y, t, u):
+        a = Arrow(pt(qa(x, y)), AffineElement.translation((qa(t, u),)), "main")
+        assert phi_arrow(arrow_invert(a)) == circle_arrow_invert(phi_arrow(a))
+
+    @given(x=rationals, y=rationals, t=rationals, u=rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_an_arrow_times_its_inverse_is_the_unit(self, x, y, t, u):
+        c = CircleArrow(qa(x, y), qa(t, u))
+        unit = circle_arrow_compose(c, circle_arrow_invert(c))
+        assert unit.src == c.src and unit.rot == qa(0)
 
     def test_circle_arrows_compose_only_at_matching_points(self):
         u = CircleArrow(qa(0), qa(0, 1))

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import tempfile
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 from quasifolds.atlas import Atlas, Chart, Transition
 from quasifolds.bimodule import BiAtlas, LinkingGerm
-from quasifolds.catalog import get_biatlas, z_alpha_lattice
+from quasifolds.catalog import (builtin_atlases, builtin_biatlases,
+                                get_atlas, get_biatlas, z_alpha_lattice)
 from quasifolds.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS,
                             EXIT_USAGE, UsageError, main, resolve_biatlas)
 from quasifolds.errors import InconsistentTransitionError
@@ -87,6 +89,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "groupoid", "--atlas", str(bad))
         assert code == EXIT_USAGE
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [("groupoid", "--atlas"),
+                                      ("morita", "--biatlas")])
+    def test_directory_as_input_file(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *argv, str(tmp_path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: cannot parse") and err.count("\n") == 1
 
     def test_unknown_atlas_name(self, capsys):
         code, _, _ = run(capsys, "groupoid", "--atlas", "not-a-thing")
@@ -305,6 +314,85 @@ class TestFuzzedInputExitsTwo:
     def test_empty_option_values(self, argv):
         # argparse before Python 3.12 reads "--opt=--" as an empty list
         self.assert_one_error_line(*run_quietly(*argv))
+
+
+# A valid input file per command, as (command line before the file, JSON
+# document, command line after it).
+_INPUT_FILES = (
+    [(("groupoid", "--atlas"), atlas_to_json(get_atlas(name)),
+      ("--bound", "1")) for name in sorted(builtin_atlases())]
+    + [(("morita", "--biatlas"), biatlas_to_json(get_biatlas(name)),
+        ("--word-length", "0", "--instance-cap", "3"))
+       for name in sorted(builtin_biatlases())]
+    + [(("rotation", "--config"),
+        {"seed": 1, "bound": 2, "tol": 1e-9, "format": "json",
+         "alpha": "0.6180339887498949", "trials": 5}, ("--max-power", "1"))])
+
+
+def _json_paths(node, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _json_paths(value, path + (i,))
+
+
+def _replaced(node, path, value):
+    """A copy of the document with the node at path replaced by value."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(node, dict):
+        return {**node, head: _replaced(node[head], rest, value)}
+    return [_replaced(x, rest, value) if i == head else x
+            for i, x in enumerate(node)]
+
+
+_ATOMS = st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
+                   st.just(0.5), st.sampled_from(["α", "1/0", "e", ""]),
+                   st.just([]), st.just({}))
+_NODES = st.one_of(_ATOMS, st.lists(_ATOMS, min_size=1, max_size=1),
+                   st.dictionaries(st.sampled_from(["kind", "b", "x"]), _ATOMS,
+                                   min_size=1, max_size=1))
+
+
+@st.composite
+def mutated_input_files(draw):
+    before, doc, after = draw(st.sampled_from(_INPUT_FILES))
+    path = draw(st.sampled_from(list(_json_paths(doc))))
+    return before, _replaced(doc, path, draw(_NODES)), after
+
+
+class TestFuzzedInputFiles:
+    """An atlas, bi-atlas or config file with one node replaced by a value
+    of the wrong shape or range is refused or run, never a traceback: the
+    exit code is 0, 1, 2 or 3, and exit 2 prints one `error:` line.
+
+    Integers stay within −2..2: a rational chart of dimension 10⁹ is
+    accepted and then runs for a long time (see the FOUND line on it in
+    CHANGES.md), which this test would only time out on."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=mutated_input_files())
+    @example(case=(("groupoid", "--atlas"), {"charts": 5}, ("--bound", "1")))
+    @example(case=(("groupoid", "--atlas"), [1, 2], ("--bound", "1")))
+    @example(case=(("morita", "--biatlas"),
+                   {"left": 1, "right": 2, "links": []},
+                   ("--word-length", "0", "--instance-cap", "3")))
+    def test_one_node_replaced(self, case):
+        before, doc, after = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input.json")
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(doc, f, ensure_ascii=False)
+            code, _, err = run_quietly(*before, path, *after)
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INCONCLUSIVE)
+        if code == EXIT_USAGE:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 class TestReportShape:

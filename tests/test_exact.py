@@ -1,7 +1,6 @@
 """Exact number layer: Q+Qα scalars, the order witness, affine maps."""
 
 import math
-import sys
 from fractions import Fraction
 
 import pytest
@@ -393,11 +392,10 @@ MODULUS = 2 ** 61 - 1
     (Fraction(7, 3 * MODULUS), Fraction(-1, MODULUS)),
 ])
 def test_hash_when_the_modulus_divides_the_denominator(p, q):
-    """d has no inverse mod the hash modulus, so the cached hash falls back
-    to hashing the Fraction; the value is still that of the pair (p, q),
-    which keeps set and dict orders the same as before hashes were cached."""
-    assert sys.hash_info.modulus == MODULUS
+    """The hash is that of the normal-form triple, with no special case for a
+    denominator that the hash modulus divides."""
     x = qa(p, q)
     assert x.triple[2] % MODULUS == 0
-    # computed, then read from the cache
-    assert hash(x) == hash(x) == hash((p, Fraction(q)))
+    assert hash(x) == hash(x.triple)
+    for y in (QAlpha(p, q), QAlpha.parse(str(x)), (x + qa(1)) - qa(1)):
+        assert y == x and hash(y) == hash(x)

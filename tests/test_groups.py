@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quasifolds import groups
 from quasifolds.errors import (DimensionMismatchError, EnumerationCapError,
-                               InconsistentTransitionError)
+                               InconsistentTransitionError, QuasifoldError)
 from quasifolds.exact import AffineElement, QAlpha, Trit, qa, solve_linear
 from quasifolds.groups import (FiniteMatrixGroup, GeneratedGroup,
                                RationalTranslations, TranslationLattice,
@@ -229,6 +229,10 @@ class TestLatticeBasisIsCached:
         with pytest.raises(DimensionMismatchError):
             zalpha().contains_value((qa(1), qa(0)))
 
+    def test_refuses_dimension_zero(self):
+        with pytest.raises(DimensionMismatchError):
+            TranslationLattice(((),))
+
 
 class TestRationalTranslations:
     def test_height_ordered_line(self):
@@ -250,6 +254,11 @@ class TestRationalTranslations:
 
     def test_dense(self):
         assert RationalTranslations(1).is_dense
+
+    @pytest.mark.parametrize("dimension", [0, -1, 2.7, "2", True, None])
+    def test_refuses_a_dimension_that_is_not_a_positive_int(self, dimension):
+        with pytest.raises(QuasifoldError):
+            RationalTranslations(dimension)
 
 
 class TestFiniteMatrixGroup:

@@ -122,7 +122,7 @@ _SIGNED = AffineElement(((Fraction(-3, 7), Fraction(2)),
                         (qa(Fraction(-1, 2), -3), qa(4, Fraction(-2, 9))))
 
 
-class TestAffineHashIsCached:
+class TestAffineHash:
     @PROPERTY
     @given(pairs)
     @example((_SIGNED, _SIGNED.invert()))
@@ -138,18 +138,6 @@ class TestAffineHashIsCached:
         for same in (_routes(x), _routes(x.compose(y))):
             assert len({hash(e) for e in same}) == 1
             assert all(e == same[0] for e in same)
-
-    def test_second_hash_is_the_stored_value(self, monkeypatch):
-        x = AffineElement(((Fraction(2, 3),),), (qa(Fraction(1, 2), -1),))
-        first = hash(x)
-        calls = []
-        real = exact._part_hash
-        monkeypatch.setattr(exact, "_part_hash",
-                            lambda n, d: calls.append(1) or real(n, d))
-        assert hash(x) == first == x._hash
-        assert calls == []
-        y = exact._affine(x.a, x.b)  # a fresh instance computes its own
-        assert hash(y) == first and calls == [1]
 
 
 class _Counted:
@@ -267,7 +255,7 @@ class TestArrowTargetIsKept:
 
 
 # ---------------------------------------------------------------------------
-# QAlpha: slot-cached hash, trusted arithmetic, Decimal evaluation
+# QAlpha: triple hash, trusted arithmetic, Decimal evaluation
 # ---------------------------------------------------------------------------
 
 class TestQAlphaFastPaths:
@@ -279,8 +267,7 @@ class TestQAlphaFastPaths:
             forms.append(QAlpha(int(p), int(q)))
         for x in forms:
             assert x == forms[0]
-            assert hash(x) == hash(forms[0]) == hash((p, q))
-            assert hash(x) == hash(x)  # served from the slot the second time
+            assert hash(x) == hash(forms[0]) == hash(x.triple)
 
     @PROPERTY
     @given(qalphas, qalphas, fractions)
@@ -356,7 +343,7 @@ class TestNormalForm:
     @PROPERTY
     @given(st.one_of(qalphas, big_qalphas))
     def test_hash_is_the_pair_hash(self, x):
-        assert hash(x) == hash((x.p, x.q))
+        assert hash(x) == hash(x.triple)
 
     @PROPERTY
     @given(qalphas)
@@ -376,12 +363,10 @@ class TestNormalForm:
 
 
 def test_hot_operations_build_no_fraction(monkeypatch):
-    """`+`, `-`, `==`, a second hash, integer `scale` and `mod1` run on the
+    """`+`, `-`, `==`, `hash`, integer `scale` and `mod1` run on the
     integer triple alone."""
     xs = [qa(Fraction(7, 2), Fraction(-1, 3)), qa(5, -2), qa(Fraction(-9, 4)),
           qa(0, Fraction(5, 6))]
-    for x in xs:
-        hash(x)
     built = []
     original_new = Fraction.__new__
 
