@@ -23,6 +23,13 @@ start set plus a step function handed to `groups.breadth_first`; its
 are (chart, `groups.Coset`) pairs, closed by each chart group's `saturate`;
 cosets compare as point sets, so the walk deduplicates them like any other
 state.  This module asks the chart groups and names no group kind.
+
+On a domain-free atlas (no chart has a domain) every chart test is true, so
+the word search never looks at a point: its states depend only on the start
+chart and the bound.  One operation that searches from many points may then
+pass the same plain dict as `words` to each search, and each (groupoid,
+chart, bound) is searched once; the dict is the caller's and lives no longer
+than its call.  An atlas with any domain ignores the dict.
 """
 
 from __future__ import annotations
@@ -31,8 +38,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (InconclusiveAtBoundError, InconsistentTransitionError,
-                     PrecisionInsufficientError, QuasifoldError)
+from .errors import (DimensionMismatchError, InconclusiveAtBoundError,
+                     InconsistentTransitionError, PrecisionInsufficientError,
+                     QuasifoldError)
 from .exact import AffineElement, QAlpha, Trit, default_witness, vec_eq
 from .groupoid import Arrow, NebulaPoint, arrow_invert
 from .groups import (Coset, GroupPresentation, breadth_first,
@@ -221,6 +229,7 @@ class StructureGroupoid:
                                 f"transition {t.src}→{t.dst}")
         self.atlas = atlas
         self._letters = self._transition_letters()
+        self._domain_free = all(c.domain is None for c in atlas.charts)
 
     # -- structural helpers --
     def _transition_letters(self):
@@ -234,7 +243,18 @@ class StructureGroupoid:
         return letters
 
     def valid_point(self, point: NebulaPoint) -> bool:
-        chart = self.atlas.chart(point.chart)
+        """Whether the point lies in its chart's domain.  A point of an
+        unknown chart or with the wrong number of coordinates is no point of
+        this atlas, and is refused."""
+        try:
+            chart = self.atlas.chart(point.chart)
+        except KeyError:
+            raise QuasifoldError(
+                f"point {point}: unknown chart {point.chart!r}") from None
+        if len(point.coords) != chart.dimension:
+            raise DimensionMismatchError(
+                f"point {point} has {len(point.coords)} coordinate(s), "
+                f"the atlas has dimension {chart.dimension}")
         return chart.contains(point.coords)
 
     def require_point(self, point: NebulaPoint) -> NebulaPoint:
@@ -243,15 +263,27 @@ class StructureGroupoid:
         return point
 
     # -- word generation --
-    def _states_from(self, v: NebulaPoint, bound: int):
+    def _states_from(self, v: NebulaPoint, bound: int, *, words=None):
         """Deterministic BFS over (chart, affine word map) pairs starting at v.
         Words alternate a full group layer (elements enumerated within bound)
         with single transition letters, up to `bound` transitions.
 
-        Returns (chart, map, base) triples in discovery order, where base is
-        the word the state's group layer was built on: the first layer that
-        produced the state.  The states of one layer differ by elements of
-        that chart's group, so their points lie in one group orbit."""
+        Returns a tuple of (chart, map, base) triples in discovery order,
+        where base is the word the state's group layer was built on: the
+        first layer that produced the state.  The states of one layer differ
+        by elements of that chart's group, so their points lie in one group
+        orbit.
+
+        On a domain-free atlas the states depend only on (v.chart, bound),
+        not on v's coordinates.  Then a dict passed as `words` keeps them
+        under (self, v.chart, bound), and a later search of the same key
+        returns them; the caller creates the dict for one operation and
+        drops it.  An atlas with any domain searches per point and leaves
+        the dict untouched."""
+        key = (self, v.chart, bound)
+        shared = words is not None and self._domain_free
+        if shared and key in words:
+            return words[key]
         base_of = {}  # id of each yielded state -> base of its layer
 
         def group_layer(chart_id, m):
@@ -265,8 +297,11 @@ class StructureGroupoid:
 
         def step(state):
             chart_id, m = state
+            letters = self._letters.get(chart_id)
+            if not letters:
+                return
             pt = m.apply(v.coords)
-            for dst, tmap in self._letters.get(chart_id, ()):
+            for dst, tmap in letters:
                 if self.atlas.chart(dst).contains(tmap.apply(pt)):
                     yield from group_layer(dst, tmap.compose(m))
 
@@ -274,18 +309,27 @@ class StructureGroupoid:
         states = breadth_first(start, step, bound)[0]
         # breadth_first keeps the first yielded object of each state alive to
         # here, so no later yield can have reused its id
-        return [(*state, base_of[id(state)]) for state in states]
+        states = tuple((*state, base_of[id(state)]) for state in states)
+        if shared:
+            words[key] = states
+        return states
 
-    def arrows_from(self, v: NebulaPoint, bound: int) -> tuple:
+    def arrows_from(self, v: NebulaPoint, bound: int, *, words=None) -> tuple:
+        """All arrows with source v and word length within bound, in the
+        word search's order.  `words` is as for `_states_from`: on a
+        domain-free atlas one operation may share the search among points."""
         self.require_point(v)
-        return tuple(Arrow(v, m, chart_id)
-                     for chart_id, m, _ in self._states_from(v, bound))
+        return tuple(Arrow(v, m, chart_id) for chart_id, m, _
+                     in self._states_from(v, bound, words=words))
 
-    def fiber_over(self, v: NebulaPoint, bound: int) -> tuple:
-        """All arrows with target v and word length within bound."""
-        return tuple(arrow_invert(a) for a in self.arrows_from(v, bound))
+    def fiber_over(self, v: NebulaPoint, bound: int, *, words=None) -> tuple:
+        """All arrows with target v and word length within bound; `words`
+        is as for `arrows_from`."""
+        return tuple(arrow_invert(a)
+                     for a in self.arrows_from(v, bound, words=words))
 
-    def arrows_between(self, v: NebulaPoint, w: NebulaPoint, bound: int) -> tuple:
+    def arrows_between(self, v: NebulaPoint, w: NebulaPoint, bound: int, *,
+                       words=None) -> tuple:
         """Arrows v → w within bound, each once, in the order the word search
         finds them; empty is not a nonexistence certificate.
 
@@ -295,14 +339,14 @@ class StructureGroupoid:
         gave an arrow can only give that arrow again, and its orbit decision
         is skipped.  A certified FALSE holds for the whole group orbit, so it
         settles every other state of the same group layer too.  Other group
-        kinds decide every state."""
+        kinds decide every state.  `words` is as for `arrows_from`."""
         self.require_point(v)
         self.require_point(w)
         group = self.atlas.chart(w.chart).group
         translations = group.translations_only
         maps = {}  # word maps v → w, each once, in discovery order
         linear_done, layers_false = set(), set()
-        for chart_id, m, base in self._states_from(v, bound):
+        for chart_id, m, base in self._states_from(v, bound, words=words):
             if chart_id != w.chart:
                 continue
             if translations and (m.a in linear_done or base in layers_false):

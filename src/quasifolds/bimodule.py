@@ -141,12 +141,14 @@ def surjectivity_probe(bi: BiAtlas, point_prime: NebulaPoint,
 def source_probe(bi: BiAtlas, point: NebulaPoint,
                  bound: int) -> Optional[LinkingGerm]:
     """A germ whose source is the given left-atlas object, via bounded words."""
-    bi.left_groupoid().require_point(point)
+    left = bi.left_groupoid()
+    left.require_point(point)
+    words = {}  # word searches shared by this call, see arrows_from
     for seed in bi.seeds:
-        for g in bi.left_groupoid().fiber_over(seed.src, bound):
+        for g in left.fiber_over(seed.src, bound, words=words):
             if g.src == point:
                 return left_act(g, seed)
-        arrows = bi.left_groupoid().arrows_between(point, seed.src, bound)
+        arrows = left.arrows_between(point, seed.src, bound, words=words)
         if arrows:
             return left_act(arrows[0], seed)
     return None
@@ -160,14 +162,16 @@ def generate_germs(bi: BiAtlas, word_length: int,
     right arrows, deduplicated on (src, map, dst_chart), the first germ of
     each kept.  Each candidate costs one dict probe; the dict grows by at
     most one germ per candidate, so it passes max_count exactly when a new
-    germ does.
+    germ does.  On a domain-free atlas the word search from a chart does not
+    depend on the point, so each groupoid searches each chart once per call.
     """
+    left, right = bi.left_groupoid(), bi.right_groupoid()
+    words = {}  # word searches shared by this call, see arrows_from
     seen = {}  # insertion-ordered set of germs
     for seed in bi.seeds:
-        lefts = bi.left_groupoid().fiber_over(seed.src, word_length)
-        for g in lefts:
+        for g in left.fiber_over(seed.src, word_length, words=words):
             z1 = left_act(g, seed)
-            rights = bi.right_groupoid().arrows_from(class_map(z1), word_length)
+            rights = right.arrows_from(class_map(z1), word_length, words=words)
             for gp in rights:
                 seen.setdefault(right_act(z1, gp))
                 if len(seen) > max_count:

@@ -461,11 +461,12 @@ def cmd_morita(args, cfg) -> dict:
 
     # (ii)+(iii) associativity of each action and commutation between them
     bad_assoc = bad_comm = total = 0
+    words = {}  # word searches shared by these loops, see arrows_from
     for z in germs[: args.instance_cap]:
-        lefts = G.fiber_over(z.src, 1)
-        rights = Gp.arrows_from(z.trg, 1)
+        lefts = G.fiber_over(z.src, 1, words=words)
+        rights = Gp.arrows_from(z.trg, 1, words=words)
         for g in lefts[:4]:
-            deeper = G.fiber_over(g.src, 1)
+            deeper = G.fiber_over(g.src, 1, words=words)
             for g1 in deeper[:3]:
                 composite = arrow_compose(g1, g)
                 if bim.left_act(composite, z) != bim.left_act(

@@ -17,7 +17,9 @@ from quasifolds.catalog import (get_atlas, get_biatlas,
                                 reflection_orbifold_atlas, t_alpha_atlas,
                                 t_alpha_duplicated_atlas, two_scale_lattice,
                                 z_alpha_lattice)
-from quasifolds.errors import (InconsistentTransitionError, NotComposableError,
+from quasifolds.bimodule import source_probe
+from quasifolds.errors import (DimensionMismatchError,
+                               InconsistentTransitionError, NotComposableError,
                                QuasifoldError)
 from quasifolds.exact import AffineElement, Trit, qa
 from quasifolds.groupoid import Arrow, NebulaPoint, arrow_compose, arrow_invert
@@ -387,6 +389,40 @@ class TestReflectionOrbifold:
     def test_domain_respected(self):
         with pytest.raises(QuasifoldError):
             self.g.require_point(NebulaPoint("away", (qa(0),)))
+
+
+class TestMalformedPoints:
+    """A point of an unknown chart, or with a coordinate count other than
+    the atlas dimension, is refused by every call that takes a point."""
+
+    CALLS = {
+        "require_point": lambda g, bi, p: g.require_point(p),
+        "same_point": lambda g, bi, p: g.same_point(p, p, 1),
+        "fiber_over": lambda g, bi, p: g.fiber_over(p, 1),
+        "source_probe": lambda g, bi, p: source_probe(bi, p, 1),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("point, error", [
+        (NebulaPoint("main", (qa(0), qa(0))), DimensionMismatchError),
+        (NebulaPoint("main", ()), DimensionMismatchError),
+        (NebulaPoint("nowhere", (qa(0),)), QuasifoldError),
+    ])
+    def test_refused(self, call, point, error):
+        bi = get_biatlas("duplicated")
+        with pytest.raises(error):
+            self.CALLS[call](bi.left_groupoid(), bi, point)
+
+    def test_unknown_chart_is_not_a_dimension_error(self):
+        g = build_groupoid(t_alpha_atlas())
+        with pytest.raises(QuasifoldError) as info:
+            g.require_point(NebulaPoint("nowhere", (qa(0),)))
+        assert not isinstance(info.value, DimensionMismatchError)
+
+    def test_wrong_dimension_on_a_chart_with_a_domain(self):
+        g = build_groupoid(reflection_orbifold_atlas())
+        with pytest.raises(DimensionMismatchError):
+            g.valid_point(NebulaPoint("fold", (qa(0), qa(9))))
 
 
 class TestRationalQuotient:

@@ -2,8 +2,8 @@
 names must still exist, so that renaming or moving one fails here and not
 only in a traced benchmark run.  The tracer module is loaded read-only: no
 bytecode is written next to it and nothing is installed in this process.
-A traced run of each algebra workload, in a subprocess, must pass the
-tracer's own self-check."""
+A traced run of each workload, in a subprocess, must pass the tracer's own
+self-check."""
 
 import importlib.util
 import json
@@ -45,7 +45,8 @@ def test_every_traced_name_resolves(tracing):
 
 
 
-@pytest.mark.parametrize("workload", ["algebra-line", "algebra-circle"])
+@pytest.mark.parametrize("workload", ["algebra-line", "algebra-circle",
+                                      "bimodule", "point-queries"])
 def test_traced_run_passes_its_self_check(workload):
     # The traced benchmark checks its own call pattern (every wrapped name
     # reached, every expected layer active) and every output; a refactor
