@@ -1,4 +1,8 @@
-"""Batched circle convolution, bitwise equal to the per-pair `_ref` kernels.
+"""Batched circle and line products, bitwise equal to the per-pair `_ref`
+kernels.
+
+`poly_mul_rows` multiplies the live intervals of one closed-form line
+product; it is described at the function.
 
 One closed-form circle product Σ_{(s, a)} f_a(z + s)·g_s(z) has K×L key
 pairs.  Running `trig_rotate` and `trig_mul` once per pair spends most of its
@@ -25,11 +29,13 @@ changes nothing: an accumulator starts at +0 and a sum is −0 only if both
 terms are, so no accumulator ever holds −0, and x + (±0) = x for every
 other x.
 
-numpy is imported inside the function: importing the package stays as cheap
-as the pure-Python kernels.
+numpy is imported inside the functions: importing the package stays as
+cheap as the pure-Python kernels.
 """
 
 import cmath
+
+from . import _ref
 
 
 def circle_convolve(f_off, f_rows, g_rows, shifts, slots, n_slots):
@@ -73,3 +79,68 @@ def circle_convolve(f_off, f_rows, g_rows, shifts, slots, n_slots):
     result = np.empty((n_slots, width), dtype=complex)
     result.real, result.imag = out.transpose(0, 2, 1)
     return result.tolist()
+
+
+# A shape group runs through numpy when its row count times its right
+# factor's length reaches this.  Below it, per-row `_ref.poly_mul` is as
+# fast or faster (numpy pays a fixed cost per left index; measured on 1×1
+# to 17×9 products, the two cross near 100), and a product made only of
+# small groups does not import numpy.
+_MIN_BATCH = 100
+
+
+def poly_mul_rows(lefts, rights):
+    """`_ref.poly_mul(lefts[r], rights[r])` for every row r, bitwise.
+
+    lefts, rights: equally many nonempty sequences of complex coefficients,
+    ascending degree.  Returns one list of len(lefts[r]) + len(rights[r]) − 1
+    complex coefficients per row, in row order.  Rows are grouped by
+    (len a, len b); a group smaller than `_MIN_BATCH` goes through
+    `_ref.poly_mul` row by row, a larger one through `_product_group`.
+    """
+    shapes = {}
+    for r, (a, b) in enumerate(zip(lefts, rights)):
+        shapes.setdefault((len(a), len(b)), []).append(r)
+    out = [None] * len(lefts)
+    for (_, m), rows in shapes.items():
+        if len(rows) * m < _MIN_BATCH:
+            products = [_ref.poly_mul(list(lefts[r]), list(rights[r]))
+                        for r in rows]
+        else:
+            products = _product_group([lefts[r] for r in rows],
+                                      [rights[r] for r in rows])
+        for r, row in zip(rows, products):
+            out[r] = row
+    return out
+
+
+def _product_group(lefts, rights):
+    """Bitwise `_ref.poly_mul` of R rows of one shape (n, m) in numpy.
+
+    As in `circle_convolve`, out[i + j] += u·v runs with i (the left
+    factor's index) outer, one numpy pass per i, and each product is written
+    out in CPython's real and imaginary parts.  `_ref.poly_mul` skips a zero
+    left coefficient u; here its terms are replaced by +0, which leaves every
+    accumulator as it is (no accumulator ever holds −0) and keeps 0·inf from
+    adding a NaN.  Overflow to inf and inf − inf = NaN happen silently, as
+    in CPython.
+    """
+    import numpy as np
+
+    a = np.array(lefts, dtype=complex)  # (R, n)
+    b = np.array(rights, dtype=complex)  # (R, m)
+    (count, n), m = a.shape, b.shape[1]
+    # u·v = ur·(vr, vi) + ui·(−vi, vr), as in circle_convolve
+    v_re = np.stack((b.real, b.imag))  # (2, R, m)
+    v_im = np.stack((-b.imag, b.real))
+    ar, ai, live = a.real.T[:, :, None], a.imag.T[:, :, None], (a != 0).T
+    acc = np.zeros((2, count, n + m - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            term = ar[i] * v_re + ai[i] * v_im
+            if not live[i].all():
+                term = np.where(live[i][:, None], term, 0.0)
+            acc[:, :, i:i + m] += term
+    res = np.empty((count, n + m - 1), dtype=complex)
+    res.real, res.imag = acc
+    return res.tolist()

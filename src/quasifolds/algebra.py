@@ -11,12 +11,15 @@ Two independent product routes are provided:
   (f·g)_τ(z) = Σ_σ f_{τ−σ}(z+σ) g_σ(z)           on the circle.
 
 On the circle the closed form runs every key pair through one batched numpy
-kernel (`_kernels.circle_convolve`), bitwise equal to the per-pair sum;
-convolve_general multiplies pair by pair through the pure-Python kernels, so
-the two routes share no product code.  On the line the closed form skips
-each pair whose supports the witness's float enclosures prove disjoint
-(its product is zero) before any shift, and multiplies the others pair by
-pair; convolve_general multiplies every pair.
+kernel (`_kernels.circle_convolve`), bitwise equal to the per-pair sum.  On
+the line it plans the product first: it skips each pair whose supports the
+witness's float enclosures prove disjoint (its product is zero) before any
+shift, aligns the others with Taylor shifts shared within the call, and
+runs every live interval of every pair through one batched kernel
+(`_kernels.poly_mul_rows`), bitwise equal to `_ref.poly_mul` because it
+keeps that kernel's order of operations and CPython's complex product
+formula.  convolve_general multiplies every pair on its own through the
+pure-Python kernels, so the two routes share no product code.
 
 The involution is (f*)_{−r}(x) = conj(f_r(x − r)).
 
@@ -32,8 +35,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._kernels import circle_convolve
-from .coefficients import PiecewisePoly, TrigPoly, dense_rows
+from ._kernels import circle_convolve, poly_mul_rows
+from .coefficients import PiecewisePoly, TrigPoly, _trimmed, dense_rows
 from .errors import (MixedCoefficientKindError, QuasifoldError,
                      SupportEscapesSubgroupError)
 from .exact import AffineElement, QAlpha, Trit, default_witness, qa
@@ -274,23 +277,15 @@ def convolve_closed_form(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement
     `_kernels.circle_convolve`, whose modes are bitwise those of the
     per-pair sum Σ key_shift(f_a, s)·g_s in (s outer, a inner) order.  On
     the line a pair whose supports the witness's float enclosures prove
-    disjoint is skipped before any shift, since its product is zero; every
-    other pair is one `PiecewisePoly` product, in the same order.
+    disjoint is skipped before any shift, since its product is zero; the
+    other pairs are planned in the same order and multiplied by one
+    `_kernels.poly_mul_rows` call (`_line_product`), and the result is
+    bitwise the sum of their `PiecewisePoly` products.
     """
     f._require_same_model(g)
-    model = f.model
-    if model.kind == "circle":
+    if f.model.kind == "circle":
         return _circle_product(f, g)
-    renormalise, enclose = model.renormalise, default_witness().enclose
-    f_spans = [_span(ca, enclose) for _, ca in f.support]
-    out = {}
-    for s, cs in g.support:
-        es, g_span = enclose(s), _span(cs, enclose)
-        for (a, ca), f_span in zip(f.support, f_spans):
-            if _apart(f_span, es, g_span):
-                continue
-            _add_term(out, renormalise(a + s), model.key_shift(ca, s) * cs)
-    return _closed(model, out)
+    return _line_product(f, g)
 
 
 def _span(c: PiecewisePoly, enclose):
@@ -313,6 +308,41 @@ def _apart(f_span, es, g_span) -> bool:
     vs, rs = es
     return (vlo_g + vs - vhi_f > rlo_g + rs + rhi_f
             or vlo_f - vs - vhi_g > rlo_f + rs + rhi_g)
+
+
+def _line_product(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
+    """The line branch of `convolve_closed_form`, in three passes.
+
+    Plan: walk the key pairs (s outer, a inner), skip the pairs `_apart`
+    proves disjoint, and align f_a(· + s) with g_s by the certified
+    breakpoint walk; the walks share one dict of Taylor shifts.  Multiply:
+    every interval where both factors are live goes through one
+    `poly_mul_rows` call.  Sum: each pair's product is trimmed and added
+    into its key in plan order, as `PiecewisePoly.__mul__` and `_add_term`
+    would have done pair by pair.
+    """
+    model = f.model
+    renormalise, enclose = model.renormalise, default_witness().enclose
+    f_spans = [_span(ca, enclose) for _, ca in f.support]
+    shifts = {}
+    plan, lefts, rights = [], [], []
+    for s, cs in g.support:
+        es, g_span = enclose(s), _span(cs, enclose)
+        for (a, ca), f_span in zip(f.support, f_spans):
+            if _apart(f_span, es, g_span):
+                continue
+            grid, mine, theirs = model.key_shift(ca, s)._aligned(
+                cs, overlap=True, shifts=shifts)
+            live = [bool(u and v) for u, v in zip(mine, theirs)]
+            lefts += [u for u, ok in zip(mine, live) if ok]
+            rights += [v for v, ok in zip(theirs, live) if ok]
+            plan.append((renormalise(a + s), grid, live))
+    products = iter(poly_mul_rows(lefts, rights))
+    out = {}
+    for key, grid, live in plan:
+        pieces = [tuple(next(products)) if ok else () for ok in live]
+        _add_term(out, key, _trimmed(grid, pieces))
+    return _closed(model, out)
 
 
 def _circle_product(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:

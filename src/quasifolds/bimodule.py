@@ -98,52 +98,61 @@ def invert_germ(z: LinkingGerm) -> LinkingGerm:
 
 
 def quotient_witness(bi: BiAtlas, z: LinkingGerm, zp: LinkingGerm,
-                     bound: int):
+                     bound: int, *, words=None):
     """Arrow g of the left groupoid with zp = g · z, when the classes agree.
 
     Returns (arrow or None, certificate) with certificate one of
-    "constructed", "classes-differ", "inconclusive-at-bound".
+    "constructed", "classes-differ", "inconclusive-at-bound".  `words` is
+    as for `StructureGroupoid.arrows_from`: a caller may share one dict of
+    word searches among the calls of one operation.
     """
     if class_map(z) != class_map(zp):
         return None, "classes-differ"
     candidate = z.map.invert().compose(zp.map)
-    for a in bi.left_groupoid().arrows_between(zp.src, z.src, bound):
+    for a in bi.left_groupoid().arrows_between(zp.src, z.src, bound,
+                                               words=words):
         if a.map == candidate:
             return a, "constructed"
     return None, "inconclusive-at-bound"
 
 
 def quotient_witness_right(bi: BiAtlas, z: LinkingGerm, zp: LinkingGerm,
-                           bound: int):
-    """Arrow g' of the right groupoid with zp = z · g', when sources agree."""
+                           bound: int, *, words=None):
+    """Arrow g' of the right groupoid with zp = z · g', when sources agree;
+    `words` is as for `quotient_witness`."""
     if z.src != zp.src:
         return None, "sources-differ"
     candidate = zp.map.compose(z.map.invert())
     for a in bi.right_groupoid().arrows_between(class_map(z), class_map(zp),
-                                                bound):
+                                                bound, words=words):
         if a.map == candidate:
             return a, "constructed"
     return None, "inconclusive-at-bound"
 
 
 def surjectivity_probe(bi: BiAtlas, point_prime: NebulaPoint,
-                       bound: int) -> Optional[LinkingGerm]:
-    """A germ whose class is the given right-atlas object, via bounded words."""
+                       bound: int, *, words=None) -> Optional[LinkingGerm]:
+    """A germ whose class is the given right-atlas object, via bounded
+    words; `words` is as for `quotient_witness`."""
     bi.right_groupoid().require_point(point_prime)
     for seed in bi.seeds:
         arrows = bi.right_groupoid().arrows_between(class_map(seed),
-                                                    point_prime, bound)
+                                                    point_prime, bound,
+                                                    words=words)
         if arrows:
             return right_act(seed, arrows[0])
     return None
 
 
-def source_probe(bi: BiAtlas, point: NebulaPoint,
-                 bound: int) -> Optional[LinkingGerm]:
-    """A germ whose source is the given left-atlas object, via bounded words."""
+def source_probe(bi: BiAtlas, point: NebulaPoint, bound: int, *,
+                 words=None) -> Optional[LinkingGerm]:
+    """A germ whose source is the given left-atlas object, via bounded
+    words; `words` is as for `quotient_witness`, and without one the
+    call's own searches share a dict."""
     left = bi.left_groupoid()
     left.require_point(point)
-    words = {}  # word searches shared by this call, see arrows_from
+    if words is None:
+        words = {}  # word searches shared by this call, see arrows_from
     for seed in bi.seeds:
         for g in left.fiber_over(seed.src, bound, words=words):
             if g.src == point:

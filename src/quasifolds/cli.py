@@ -461,7 +461,7 @@ def cmd_morita(args, cfg) -> dict:
 
     # (ii)+(iii) associativity of each action and commutation between them
     bad_assoc = bad_comm = total = 0
-    words = {}  # word searches shared by these loops, see arrows_from
+    words = {}  # word searches shared by every loop below, see arrows_from
     for z in germs[: args.instance_cap]:
         lefts = G.fiber_over(z.src, 1, words=words)
         rights = Gp.arrows_from(z.trg, 1, words=words)
@@ -490,8 +490,8 @@ def cmd_morita(args, cfg) -> dict:
     # (iv) freeness: the self-witness must be the unit
     bad = 0
     for z in germs[: args.instance_cap]:
-        w, cert = bim.quotient_witness(bi, z, z, bound)
-        wp, certp = bim.quotient_witness_right(bi, z, z, bound)
+        w, cert = bim.quotient_witness(bi, z, z, bound, words=words)
+        wp, certp = bim.quotient_witness_right(bi, z, z, bound, words=words)
         if cert != "constructed" or not w.is_unit:
             bad += 1
         if certp != "constructed" or not wp.is_unit:
@@ -506,7 +506,7 @@ def cmd_morita(args, cfg) -> dict:
     for i, z in enumerate(germs[: args.instance_cap]):
         for zp in germs[i + 1: args.instance_cap]:
             if bim.class_map(z) == bim.class_map(zp):
-                w, cert = bim.quotient_witness(bi, z, zp, bound)
+                w, cert = bim.quotient_witness(bi, z, zp, bound, words=words)
                 if cert == "inconclusive-at-bound":
                     inj_unknown += 1
                 elif cert != "constructed" or bim.left_act(w, z) != zp:
@@ -515,7 +515,8 @@ def cmd_morita(args, cfg) -> dict:
                                      "germ": z.to_json(),
                                      "other": zp.to_json()})
             if z.src == zp.src:
-                w, cert = bim.quotient_witness_right(bi, z, zp, bound)
+                w, cert = bim.quotient_witness_right(bi, z, zp, bound,
+                                                     words=words)
                 if cert == "inconclusive-at-bound":
                     inj_unknown += 1
                 elif cert != "constructed" or bim.right_act(z, w) != zp:
@@ -531,13 +532,13 @@ def cmd_morita(args, cfg) -> dict:
     surj_bad = 0
     targets = {bim.class_map(z) for z in germs[: args.instance_cap]}
     for t in sorted(targets, key=str):
-        z = bim.surjectivity_probe(bi, t, bound)
+        z = bim.surjectivity_probe(bi, t, bound, words=words)
         if z is None or bim.class_map(z) != t:
             surj_bad += 1
             failures.append({"axiom": "class-surjectivity", "target": str(t)})
     sources = {z.src for z in germs[: args.instance_cap]}
     for t in sorted(sources, key=str):
-        z = bim.source_probe(bi, t, bound)
+        z = bim.source_probe(bi, t, bound, words=words)
         if z is None or z.src != t:
             surj_bad += 1
             failures.append({"axiom": "source-surjectivity", "target": str(t)})

@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import operator
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 from . import _kernels as K
@@ -308,7 +309,8 @@ class PiecewisePoly:
                           tuple(tuple(x.conjugate() for x in p) for p in self.pieces))
 
     # -- grid alignment --
-    def _aligned(self, other: "PiecewisePoly", overlap: bool = False):
+    def _aligned(self, other: "PiecewisePoly", overlap: bool = False,
+                 shifts: dict | None = None):
         """(grid, mine, theirs): both operands' breakpoints in order, and
         each one's local coefficients per grid interval (() off its support;
         with `overlap`, () for both wherever either is off its support).
@@ -318,7 +320,8 @@ class PiecewisePoly:
         breakpoint); binary64 enclosures, computed once per breakpoint per
         call, decide a separated pair; only an undecided pair reaches
         certified `compare`, which raises PrecisionInsufficientError on a
-        near-tie."""
+        near-tie.  `shifts`, a dict owned by the caller, shares Taylor
+        shifts between walks (see `_local`)."""
         w = default_witness()
         a, b = self.breakpoints, other.breakpoints
         enclose, order = w.enclose, w.order
@@ -347,19 +350,34 @@ class PiecewisePoly:
                 mine.append(())
                 theirs.append(())
             else:
-                mine.append(self._local(i, x, w))
-                theirs.append(other._local(j, x, w))
+                mine.append(self._local(i, x, w, shifts))
+                theirs.append(other._local(j, x, w, shifts))
         return grid, mine[:-1], theirs[:-1]
 
-    def _local(self, i: int, x: QAlpha, w) -> tuple:
+    def _local(self, i: int, x: QAlpha, w,
+               shifts: dict | None = None) -> tuple:
         """Coefficients at grid point x, past i of self's breakpoints: piece
-        i − 1 Taylor-shifted to start at x, or () outside the support."""
+        i − 1 Taylor-shifted to start at x, or () outside the support.
+
+        With a `shifts` dict, a shift is computed once per (piece, exact
+        offset) and kept there.  The piece is keyed by identity, since
+        pieces that differ only in the sign of a zero compare equal but
+        shift to different bits; the entry holds the piece, so its id is
+        not reused while the dict lives."""
         if not 0 < i < len(self.breakpoints):
             return ()
         base, coeffs = self.breakpoints[i - 1], self.pieces[i - 1]
         if x == base:
             return coeffs
-        return tuple(K.poly_shift(list(coeffs), w.to_float(x - base)))
+        offset = x - base
+        if shifts is None:
+            return tuple(K.poly_shift(list(coeffs), w.to_float(offset)))
+        key = (id(coeffs), offset)
+        hit = shifts.get(key)
+        if hit is None:
+            hit = shifts[key] = (coeffs, tuple(
+                K.poly_shift(list(coeffs), w.to_float(offset))))
+        return hit[1]
 
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         if not self.breakpoints or not other.breakpoints:
@@ -404,12 +422,19 @@ class PiecewisePoly:
 
     def distance(self, other: "PiecewisePoly") -> float:
         """Max coefficient difference on the merged grid (bounds nothing by
-        itself, but is exactly the right notion for route comparisons)."""
+        itself, but is exactly the right notion for route comparisons).
+
+        Each difference is u + v·(−1.0), a missing coefficient read as 0j,
+        not u − v: the two differ in abs (NaN against inf) when v has a
+        non-finite part, as products that overflow can have.  The max is
+        taken per interval, so a NaN difference hides values of its own
+        interval only."""
         _, mine, theirs = self._aligned(other)
         worst = 0.0
         for a, b in zip(mine, theirs):
-            arr = K.poly_add(list(a), K.poly_scale(list(b), -1.0))
-            worst = max(worst, max((abs(c) for c in arr), default=0.0))
+            worst = max(worst, max((abs(u + v * -1.0) for u, v
+                                    in zip_longest(a, b, fillvalue=0j)),
+                                   default=0.0))
         return worst
 
     def allclose(self, other: "PiecewisePoly", tol: float) -> bool:

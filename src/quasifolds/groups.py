@@ -331,6 +331,10 @@ class RationalTranslations(GroupPresentation):
             raise QuasifoldError(
                 f"rational translations need an integer dimension >= 1, "
                 f"got {d!r}")
+        if d * d > SIZE_CAP:  # the identity linear part alone has d² entries
+            raise QuasifoldError(
+                f"rational translations of dimension {d} exceed the size "
+                f"cap: d² = {d * d} > {SIZE_CAP}")
 
     @staticmethod
     def _line_values(bound: int):
@@ -349,7 +353,12 @@ class RationalTranslations(GroupPresentation):
     @_memoised
     def enumerate(self, bound: int) -> tuple:
         line = self._line_values(bound)
-        self._check_bound(bound, len(line) ** self.dimension)
+        estimated = 1  # len(line) ** dimension, cut off once past the cap
+        for _ in range(self.dimension):
+            estimated *= len(line)
+            if estimated > SIZE_CAP:
+                break
+        self._check_bound(bound, estimated)
         return tuple(AffineElement.translation(tuple(QAlpha(v) for v in tup))
                      for tup in itertools.product(line, repeat=self.dimension))
 

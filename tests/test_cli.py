@@ -8,9 +8,13 @@ import io
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 import tempfile
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -112,6 +116,35 @@ class TestExitCodes:
 
     def test_help_exits_cleanly(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_rational_chart_of_huge_dimension(self, tmp_path):
+        # Refused when the atlas is read, before any point or enumeration
+        # of that dimension is built.  It runs in a subprocess with a time
+        # limit and a 1 GiB address space, so a regression fails fast
+        # instead of filling the memory.
+        atlas = tmp_path / "huge.json"
+        atlas.write_text(json.dumps({"charts": [
+            {"id": "U", "group": {"kind": "rational",
+                                  "dimension": 1_000_000_000},
+             "domain": None, "label": ""}], "transitions": []}),
+            encoding="utf-8")
+        limit = 1 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from quasifolds.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "groupoid", "--atlas", str(atlas), "--bound", "1"],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert run.returncode == EXIT_USAGE, run.stderr
+        assert run.stdout == ""
+        assert run.stderr.count("error:") == 1 and "dimension" in run.stderr
+        assert "Traceback" not in run.stderr
 
 
 class TestBadInputIsRejectedAtParseTime:

@@ -3,6 +3,8 @@ and piecewise polynomials with exact breakpoints on the line."""
 
 import cmath
 import math
+import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -503,3 +505,61 @@ class TestBreakpointNearTie:
             f, g = g, f
         with pytest.raises(PrecisionInsufficientError):
             {"add": f.__add__, "mul": f.__mul__, "distance": f.distance}[op](g)
+
+
+def _distance_by_sum(f, g):
+    """`PiecewisePoly.distance` as it was computed through the sum kernels:
+    max over intervals of abs(poly_add(a, poly_scale(b, −1.0)))."""
+    _, mine, theirs = f._aligned(g)
+    worst = 0.0
+    for a, b in zip(mine, theirs):
+        arr = K.poly_add(list(a), K.poly_scale(list(b), -1.0))
+        worst = max(worst, max((abs(c) for c in arr), default=0.0))
+    return worst
+
+
+class TestDistanceIsTheSumRoute:
+    """`distance` takes the differences directly and returns the float the
+    sum-kernel route returned, bit for bit, NaN included: on pieces of
+    unequal length, empty pieces, and products whose coefficients overflow
+    to inf (so that differences meet inf − inf and 0·inf)."""
+
+    @staticmethod
+    def _random(rng, big):
+        n = rng.randint(2, 4)
+        bps = sorted({qa(Fraction(rng.randint(-6, 6), rng.choice((1, 2))),
+                         rng.randint(-1, 1)) for _ in range(n)},
+                     key=W.evaluate)
+        if len(bps) < 2:
+            return PiecewisePoly()
+        scale = 1e200 if big else 1.0
+
+        def coeff():
+            return complex(rng.choice((0.0, -0.0, rng.uniform(-1, 1))),
+                           rng.choice((0.0, rng.uniform(-1, 1)))) * scale
+
+        return PiecewisePoly(tuple(bps), tuple(
+            tuple(coeff() for _ in range(rng.randint(0, 4)))
+            for _ in range(len(bps) - 1)))
+
+    def test_random_pairs(self):
+        rng = random.Random(25)
+        saw_inf = saw_nan = False
+        for _ in range(400):
+            big = rng.random() < 0.5
+            f = self._random(rng, big)
+            g = self._random(rng, big)
+            if big:  # products of 1e200-sized coefficients overflow
+                f, g = f * self._random(rng, True), g * self._random(rng, True)
+            got, want = f.distance(g), _distance_by_sum(f, g)
+            assert struct.pack("d", got) == struct.pack("d", want)
+            saw_inf |= got == math.inf
+            saw_nan |= math.isnan(got)
+        assert saw_inf
+
+    def test_empty_and_unequal_pieces(self):
+        f = PiecewisePoly((0, 1, 2), ((), (1.0, 2j, -0.5)))
+        g = PiecewisePoly((0, 1, 2), ((3.0,), (1.0,)))
+        for x, y in ((f, g), (g, f), (f, PiecewisePoly()), (f, f)):
+            assert x.distance(y).hex() == _distance_by_sum(x, y).hex()
+        assert f.distance(g) == 3.0

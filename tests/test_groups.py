@@ -260,6 +260,18 @@ class TestRationalTranslations:
         with pytest.raises(QuasifoldError):
             RationalTranslations(dimension)
 
+    def test_refuses_a_dimension_whose_square_passes_the_size_cap(self):
+        largest = math.isqrt(groups.SIZE_CAP)
+        assert RationalTranslations(largest).dimension == largest
+        for d in (largest + 1, 10 ** 9):
+            with pytest.raises(QuasifoldError, match="size cap"):
+                RationalTranslations(d)
+
+    @pytest.mark.parametrize("bound", [1, 2])
+    def test_estimate_of_a_large_dimension_is_refused(self, bound):
+        with pytest.raises(EnumerationCapError):
+            RationalTranslations(math.isqrt(groups.SIZE_CAP)).enumerate(bound)
+
 
 class TestFiniteMatrixGroup:
     def test_reflection_group(self):

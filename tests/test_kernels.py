@@ -1,6 +1,7 @@
 """The coefficient kernels agree with numpy on random inputs, including empty
 and length-1 lists, and `quasifolds._kernels` re-exports the `_ref` functions
-(qfbench wraps those names to count kernel calls)."""
+(qfbench wraps those names to count kernel calls).  The line product's
+batched kernel is bitwise the per-row `_ref.poly_mul`."""
 
 import itertools
 import random
@@ -10,7 +11,7 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 from quasifolds import _kernels
-from quasifolds._kernels import _ref
+from quasifolds._kernels import _numpy, _ref
 
 KERNELS = ("poly_mul", "poly_add", "poly_scale", "poly_eval", "poly_shift",
            "trig_mul", "trig_rotate", "trig_eval")
@@ -150,3 +151,79 @@ class TestBackendSelection:
     def test_exports_come_from_selected_backend(self):
         for name in KERNELS:
             assert getattr(_kernels, name) is getattr(_ref, name), name
+
+
+def packed(rows):
+    return [[(c.real.hex(), c.imag.hex()) for c in row] for row in rows]
+
+
+def ref_rows(lefts, rights):
+    return [_ref.poly_mul(list(a), list(b)) for a, b in zip(lefts, rights)]
+
+
+class TestBatchedLineProducts:
+    """`poly_mul_rows`, the line product's batched kernel, is bitwise
+    `_ref.poly_mul` row by row, on its numpy path (`_product_group`) and on
+    its per-row path for small groups.  Real and imaginary parts are
+    compared as hex strings, so signed zeros and the last bit count."""
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (4, 1), (3, 3),
+                                      (9, 9), (17, 9), (9, 17)])
+    def test_numpy_group_random(self, n, m):
+        rng = random.Random(n * 100 + m)
+        lefts = [rand_poly(rng, n) for _ in range(12)]
+        rights = [rand_poly(rng, m) for _ in range(12)]
+        assert packed(_numpy._product_group(lefts, rights)) == \
+            packed(ref_rows(lefts, rights))
+
+    def test_signed_zeros_and_zero_coefficients(self):
+        # a zero left coefficient is skipped by _ref; a zero right one is
+        # multiplied; the right factor's infinities make 0·inf = NaN if a
+        # skipped term were added
+        zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                 complex(-0.0, -0.0)]
+        values = zeros + [complex(1.5, -0.0), complex(-0.0, 2.0),
+                          complex(-1.0, -1.0), complex(1e300, 1e300)]
+        rng = random.Random(5)
+        lefts = [[rng.choice(values) for _ in range(3)] for _ in range(60)]
+        rights = [[rng.choice(values) for _ in range(2)] for _ in range(60)]
+        lefts.append([0j, complex(-0.0, -0.0), 1.0])
+        rights.append([complex(float("inf"), 1.0), complex(-0.0, 0.0)])
+        assert packed(_numpy._product_group(lefts, rights)) == \
+            packed(ref_rows(lefts, rights))
+        assert packed(_kernels.poly_mul_rows(lefts, rights)) == \
+            packed(ref_rows(lefts, rights))
+
+    def test_width_one_rows(self):
+        lefts = [[complex(x, -x)] for x in (0.5, -0.0, 3.0, 1e-310)]
+        rights = [[complex(-x, 2.0)] for x in (1.0, 0.0, -0.0, 7.5)]
+        got = _numpy._product_group(lefts, rights)
+        assert packed(got) == packed(ref_rows(lefts, rights))
+        assert all(len(row) == 1 for row in got)
+
+    def test_mixed_shapes_in_one_call_keep_row_order(self):
+        rng = random.Random(9)
+        # large groups take the numpy path, small ones the per-row path
+        shapes = [(3, 3)] * 40 + [(9, 9)] * 15 + [(2, 5)] * 3 + [(1, 1)] * 2
+        rng.shuffle(shapes)
+        lefts = [rand_poly(rng, n) for n, _ in shapes]
+        rights = [rand_poly(rng, m) for _, m in shapes]
+        got = _kernels.poly_mul_rows(lefts, rights)
+        assert packed(got) == packed(ref_rows(lefts, rights))
+        assert [len(row) for row in got] == [n + m - 1 for n, m in shapes]
+
+    def test_small_groups_call_the_reference_kernel(self, monkeypatch):
+        calls = []
+        original = _ref.poly_mul
+        monkeypatch.setattr(_ref, "poly_mul",
+                            lambda a, b: calls.append(1) or original(a, b))
+        rng = random.Random(3)
+        big = [(rand_poly(rng, 3), rand_poly(rng, 3)) for _ in range(40)]
+        small = [(rand_poly(rng, 2), rand_poly(rng, 2)) for _ in range(5)]
+        _kernels.poly_mul_rows(*zip(*big))
+        assert calls == []
+        _kernels.poly_mul_rows(*zip(*small))
+        assert len(calls) == 5
+
+    def test_empty_batch(self):
+        assert _kernels.poly_mul_rows([], []) == []

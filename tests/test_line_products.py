@@ -6,9 +6,11 @@ the ordered breakpoint walk, which Taylor-shifts only where both factors
 are live.  The oracle here is the per-pair sum Σ f_a(· + s)·g_s in
 (s outer, a inner) order, with every product and every sum aligned by the
 sort-based alignment of `test_coefficients` (a hash-set union of the
-breakpoints sorted on witness values), so it shares no code with the walk
-or the skip.  Keys, key order, breakpoints and every coefficient's real and
-imaginary parts are compared as packed doubles.
+breakpoints sorted on witness values), so it shares no code with the walk,
+the skip or the batched kernel.  Keys, key order, breakpoints and every
+coefficient's real and imaginary parts are compared as packed doubles.  The
+last tests check the plan itself: one batched product call, no per-pair
+product kernel, each Taylor shift once per call, no state left behind.
 """
 
 import random
@@ -19,13 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasifolds import _kernels, algebra
+from quasifolds._kernels import _ref
 from quasifolds.algebra import (AlgebraElement, LineModel,
-                                convolve_closed_form, involute,
-                                random_line_element)
+                                convolve_closed_form, convolve_general,
+                                involute, random_line_element)
 from quasifolds.catalog import z_alpha_lattice
 from quasifolds.coefficients import PiecewisePoly
+from quasifolds.errors import PrecisionInsufficientError
 from quasifolds.exact import default_witness, qa, set_default_witness
-from test_coefficients import W, _Raw, _sorted_op
+from test_coefficients import W, _fibonacci_near_tie, _Raw, _sorted_op
 from test_filtered_order import SQRT2_80
 
 MODEL = LineModel(z_alpha_lattice())
@@ -213,3 +218,101 @@ def elements(draw):
 def test_random_elements(witness, data):
     set_default_witness(witness)
     assert_bitwise(data.draw(elements()), data.draw(elements()))
+
+
+# ---------------------------------------------------------------------------
+# the plan: one batched product per call, Taylor shifts shared within it
+# ---------------------------------------------------------------------------
+
+def overlapping(rng):
+    """Five keys mα, |m| ≤ 2, each on [0, 2] with two degree-8 pieces
+    damped as in `random_line_element`: every shifted pair overlaps, so
+    every product group is large."""
+    return element([(qa(0, m), (qa(0), qa(1), qa(2)),
+                     [tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                            * 0.5 ** d for d in range(9)) for _ in range(2)])
+                    for m in range(-2, 3)])
+
+
+def test_line_product_makes_no_per_pair_kernel_calls(monkeypatch):
+    calls, rows = [], []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for module in (_kernels, _ref):
+        monkeypatch.setattr(module, "poly_mul",
+                            counting("poly_mul", module.poly_mul))
+    batched = algebra.poly_mul_rows
+    monkeypatch.setattr(algebra, "poly_mul_rows",
+                        lambda a, b: rows.append(len(a)) or batched(a, b))
+    rng = random.Random(11)
+    f, g = overlapping(rng), overlapping(rng)
+    closed = convolve_closed_form(f, g)
+    assert calls == [] and len(rows) == 1 and rows[0] > 0
+    # the general route multiplies each live interval on its own
+    general = convolve_general(f, g)
+    assert calls.count("poly_mul") == rows[0]
+    assert closed.keys() == general.keys() and closed.allclose(general, 1e-12)
+
+
+def test_shift_dict_leaves_no_state():
+    rng = random.Random(12)
+    f, g = overlapping(rng), overlapping(rng)
+
+    def state():
+        objects = [f, g, MODEL, MODEL.group]
+        objects += [c for e in (f, g) for _, c in e.support]
+        return [{k: id(v) for k, v in vars(x).items()} for x in objects]
+
+    before = state()
+    convolve_closed_form(f, g)
+    convolve_closed_form(g, f)
+    assert state() == before
+
+
+def test_each_shift_is_computed_once_per_call(monkeypatch):
+    """The plan shifts each (piece, exact offset) once; the per-pair
+    products shift some of them again for other pairs.  Shifts made while
+    summing the products into their keys are not counted."""
+    shifts, summing = [], []
+    original = _kernels.poly_shift
+
+    def recording(a, h):
+        if not summing:
+            shifts.append((tuple(c.hex() for x in a
+                                 for c in (x.real, x.imag)), h.hex()))
+        return original(a, h)
+
+    def add_term(*args):
+        summing.append(True)
+        try:
+            add(*args)
+        finally:
+            summing.pop()
+
+    add = algebra._add_term
+    monkeypatch.setattr(_kernels, "poly_shift", recording)
+    monkeypatch.setattr(algebra, "_add_term", add_term)
+    rng = random.Random(13)
+    f, g = overlapping(rng), overlapping(rng)
+    convolve_closed_form(f, g)
+    planned, shifts[:] = list(shifts), []
+    for s, cs in g.support:
+        for _, ca in f.support:
+            MODEL.key_shift(ca, s) * cs
+    assert len(set(planned)) == len(planned) == len(set(shifts))
+    assert len(planned) < len(shifts)
+
+
+def test_near_tie_raises():
+    # s = F₁₄₄·α − F₁₄₃ ≈ −8e-31: f(· + s) starts at −s, which the witness
+    # cannot order against g's breakpoint 0
+    s = _fibonacci_near_tie()
+    f = element([(qa(0), (qa(0), qa(1)), [(1.0,)])])
+    g = element([(s, (qa(0), qa(1)), [(1.0,)])])
+    with pytest.raises(PrecisionInsufficientError):
+        convolve_closed_form(f, g)

@@ -3,9 +3,11 @@
 On a domain-free atlas the word search from a point depends only on the
 point's chart and the bound, so `fiber_over`, `arrows_from` and
 `arrows_between` accept a `words` dict that one operation shares among its
-searches, and `generate_germs` and `source_probe` share one per call.  Each
-test here compares a shared search with the same searches made one by one:
-the results must be equal tuples in the same order.  An atlas with domains
+searches, and `generate_germs` and `source_probe` share one per call;
+`quotient_witness`, `quotient_witness_right`, `surjectivity_probe` and
+`source_probe` take one that the morita command shares among its loops.
+Each test here compares a shared search with the same searches made one by
+one: the results must be equal tuples in the same order.  An atlas with domains
 must leave the dict empty, and no call may leave state on the groupoid.
 """
 
@@ -17,8 +19,9 @@ from hypothesis import strategies as st
 
 from quasifolds.atlas import Atlas, Chart, StructureGroupoid, Transition
 from quasifolds.bimodule import (BiAtlas, LinkingGerm, class_map,
-                                 generate_germs, left_act, right_act,
-                                 source_probe)
+                                 generate_germs, left_act,
+                                 quotient_witness, quotient_witness_right,
+                                 right_act, source_probe, surjectivity_probe)
 from quasifolds.catalog import (duplicated_biatlas, reflection_orbifold_atlas,
                                 t_alpha_duplicated_atlas, two_scale_biatlas,
                                 two_scale_lattice, z_alpha_lattice)
@@ -130,6 +133,46 @@ class TestSourceProbe:
             point = NebulaPoint("fold", (x,))
             assert source_probe(bi, point, 2) == \
                 source_probe_one_search_each(bi, point, 2)
+
+
+class TestWitnessesAndProbes:
+    """Witnesses and probes over many germ pairs share one dict, as the
+    morita command's loops do, and answer as they do alone."""
+
+    @pytest.mark.parametrize("make", [duplicated_biatlas, two_scale_biatlas,
+                                      t_alpha_duplicated_biatlas,
+                                      reflection_biatlas])
+    def test_same_answers(self, make):
+        bi = make()
+        groupoids = (bi.left_groupoid(), bi.right_groupoid())
+        before = [state_of(g) for g in groupoids]
+        germs = generate_germs(bi, 1)[:12]
+        words = {}
+        for z in germs:
+            for zp in germs:
+                for witness in (quotient_witness, quotient_witness_right):
+                    assert witness(bi, z, zp, 2, words=words) == \
+                        witness(bi, z, zp, 2)
+        for z in germs:
+            t = class_map(z)
+            assert surjectivity_probe(bi, t, 2, words=words) == \
+                surjectivity_probe(bi, t, 2)
+            assert source_probe(bi, z.src, 2, words=words) == \
+                source_probe(bi, z.src, 2)
+        assert [state_of(g) for g in groupoids] == before
+        if make is reflection_biatlas:  # an atlas with domains
+            assert words == {}
+        else:
+            assert {key[0] for key in words} == set(groupoids)
+
+    def test_witnesses_are_found(self):
+        # the comparison above must not pass on empty answers alone
+        bi = duplicated_biatlas()
+        germs = generate_germs(bi, 1)
+        words = {}
+        found = [quotient_witness(bi, z, zp, 2, words=words)[1]
+                 for z in germs[:9] for zp in germs[:9]]
+        assert "constructed" in found and "classes-differ" in found
 
 
 class TestSharedDict:
