@@ -1,33 +1,35 @@
 """Batched circle and line products, bitwise equal to the per-pair `_ref`
 kernels.
 
-`poly_mul_rows` multiplies the live intervals of one closed-form line
-product; it is described at the function.
+`circle_convolve` runs the K×L key pairs of one closed-form circle product
+Σ_{(s, a)} f_a(z + s)·g_s(z) at once, `poly_mul_rows` the live intervals of
+one closed-form line product; pair by pair, most of the time would go to
+interpreter overhead.  Both multiply in `_accumulate`, the one product loop,
+which keeps the order of every floating-point operation, so each
+coefficient has the bits of the per-pair route:
 
-One closed-form circle product Σ_{(s, a)} f_a(z + s)·g_s(z) has K×L key
-pairs.  Running `trig_rotate` and `trig_mul` once per pair spends most of its
-time in interpreter overhead; this kernel does all pairs at once in numpy and
-keeps the order of every floating-point operation, so for finite
-coefficients each mode comes out with the same bits as the per-pair route:
-
-* the rotation phase of mode k under shift t is `cmath.exp(1j * tau * k)`
-  with `tau = 2.0 * cmath.pi * t`, the expression of `_ref.trig_rotate`,
-  computed once per shift instead of once per pair;
 * `_ref.poly_mul` adds u·v into out[i + j] with i (the left factor's index)
-  outer; here one numpy pass per i adds the products of every pair at once;
-* pair results are added into their output rows in pair order, by one
-  `np.add.at`, which adds repeated indices one at a time in index order.
+  outer; `_accumulate` makes one numpy pass per i that adds the products of
+  every pair at once, pairs along the last, contiguous axis;
+* a complex product is written out in float64 real and imaginary parts
+  (re = ar·br − ai·bi, im = ar·bi + ai·br), CPython's formula; numpy's
+  complex128 multiply may use fused or reordered vector loops whose results
+  differ from CPython's in the last bit, so it is never used here;
+* zeros need no special case: `_ref` skips zero left coefficients and
+  prunes zero modes after each product and sum, while here a zero term adds
+  ±0, which changes nothing: an accumulator starts at +0 and a sum is −0
+  only if both terms are, so no accumulator ever holds −0, and x + (±0) = x
+  for every other x.  The one exception is a zero left coefficient times an
+  inf right one, which gives NaN where `_ref` adds nothing; line rows, whose
+  pieces may hold the inf of an overflowed product, pass a mask that turns
+  the terms of zero left coefficients into +0, and overflow there to inf
+  and inf − inf = NaN happen silently, as in CPython.
 
-Complex products are written out in float64 real and imaginary parts
-(re = ar·br − ai·bi, im = ar·bi + ai·br), CPython's formula.  numpy's
-complex128 multiply may use fused or reordered vector loops whose results
-differ from CPython's in the last bit, so it is never used here.
-
-Zeros need no special case.  `_ref` skips zero left coefficients and prunes
-zero modes after each product and sum; here they are added as ±0, which
-changes nothing: an accumulator starts at +0 and a sum is −0 only if both
-terms are, so no accumulator ever holds −0, and x + (±0) = x for every
-other x.
+`circle_convolve` also computes each rotation phase of mode k under shift
+t as `cmath.exp(1j * tau * k)` with `tau = 2.0 * cmath.pi * t`, the
+expression of `_ref.trig_rotate`, once per shift instead of once per pair,
+and adds the pair results into their output rows in pair order by one
+`np.add.at`, which adds repeated indices one at a time in index order.
 
 numpy is imported inside the functions: importing the package stays as
 cheap as the pure-Python kernels.
@@ -36,6 +38,36 @@ cheap as the pure-Python kernels.
 import cmath
 
 from . import _ref
+
+
+def _accumulate(ar, ai, b, live=None):
+    """(2, n + m − 1, P) real and imaginary parts of Σ_i x^i·a_i·b(x) for
+    every column p: ar, ai (n, P) are the parts of the left coefficients,
+    b (m, P) the complex right ones, live (n, P) or None the mask of
+    nonzero left coefficients (see the module docstring)."""
+    import numpy as np
+
+    n, (m, count) = len(ar), b.shape
+    # u·v = ur·(vr, vi) + ui·(−vi, vr); x − y and x + (−y) are the same sum
+    v_re = np.stack((b.real, b.imag))  # (2, m, P)
+    v_im = np.stack((-b.imag, b.real))
+    acc = np.zeros((2, n + m - 1, count))
+    for i in range(n):
+        term = ar[i] * v_re + ai[i] * v_im
+        if live is not None and not live[i].all():
+            term = np.where(live[i], term, 0.0)
+        acc[:, i:i + m] += term
+    return acc
+
+
+def _complex_rows(parts):
+    """The (2, width, P) parts as P lists of width complex numbers."""
+    import numpy as np
+
+    _, width, count = parts.shape
+    rows = np.empty((count, width), dtype=complex)
+    rows.real, rows.imag = parts.transpose(0, 2, 1)
+    return rows.tolist()
 
 
 def circle_convolve(f_off, f_rows, g_rows, shifts, slots, n_slots):
@@ -53,8 +85,7 @@ def circle_convolve(f_off, f_rows, g_rows, shifts, slots, n_slots):
 
     f = np.array(f_rows, dtype=complex)
     g = np.array(g_rows, dtype=complex)
-    (k_count, n), (l_count, m) = f.shape, g.shape
-    width = n + m - 1
+    k_count, n = f.shape
     phases = []
     for t in shifts:
         tau = 2.0 * cmath.pi * t
@@ -65,20 +96,11 @@ def circle_convolve(f_off, f_rows, g_rows, shifts, slots, n_slots):
     f = f.T[:, None, :]  # (n, 1, K)
     ar = (f.real * e.real - f.imag * e.imag).reshape(n, -1)  # (n, P)
     ai = (f.real * e.imag + f.imag * e.real).reshape(n, -1)
-    gt = np.repeat(g.T, k_count, axis=1)  # (m, P)
-    # u·v = ur·(vr, vi) + ui·(−vi, vr); x − y and x + (−y) are the same sum
-    v_re = np.stack((gt.real, gt.imag))  # (2, m, P)
-    v_im = np.stack((-gt.imag, gt.real))
-    prod = np.zeros((2, width, l_count * k_count))
-    for i in range(n):
-        prod[:, i:i + m] += ar[i] * v_re + ai[i] * v_im
-
+    prod = _accumulate(ar, ai, np.repeat(g.T, k_count, axis=1))
     # unbuffered: a row that several pairs share receives them in pair order
-    out = np.zeros((2, width, n_slots))
+    out = np.zeros(prod.shape[:2] + (n_slots,))
     np.add.at(out, (slice(None), slice(None), slots), prod)
-    result = np.empty((n_slots, width), dtype=complex)
-    result.real, result.imag = out.transpose(0, 2, 1)
-    return result.tolist()
+    return _complex_rows(out)
 
 
 # A shape group runs through numpy when its row count times its right
@@ -115,32 +137,11 @@ def poly_mul_rows(lefts, rights):
 
 
 def _product_group(lefts, rights):
-    """Bitwise `_ref.poly_mul` of R rows of one shape (n, m) in numpy.
-
-    As in `circle_convolve`, out[i + j] += u·v runs with i (the left
-    factor's index) outer, one numpy pass per i, and each product is written
-    out in CPython's real and imaginary parts.  `_ref.poly_mul` skips a zero
-    left coefficient u; here its terms are replaced by +0, which leaves every
-    accumulator as it is (no accumulator ever holds −0) and keeps 0·inf from
-    adding a NaN.  Overflow to inf and inf − inf = NaN happen silently, as
-    in CPython.
-    """
+    """Bitwise `_ref.poly_mul` of R rows of one shape (n, m) in numpy, by
+    `_accumulate` with rows as its pairs and the zero-left mask."""
     import numpy as np
 
-    a = np.array(lefts, dtype=complex)  # (R, n)
-    b = np.array(rights, dtype=complex)  # (R, m)
-    (count, n), m = a.shape, b.shape[1]
-    # u·v = ur·(vr, vi) + ui·(−vi, vr), as in circle_convolve
-    v_re = np.stack((b.real, b.imag))  # (2, R, m)
-    v_im = np.stack((-b.imag, b.real))
-    ar, ai, live = a.real.T[:, :, None], a.imag.T[:, :, None], (a != 0).T
-    acc = np.zeros((2, count, n + m - 1))
+    a = np.array(lefts, dtype=complex).T  # (n, R)
+    b = np.array(rights, dtype=complex).T  # (m, R)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            term = ar[i] * v_re + ai[i] * v_im
-            if not live[i].all():
-                term = np.where(live[i][:, None], term, 0.0)
-            acc[:, :, i:i + m] += term
-    res = np.empty((count, n + m - 1), dtype=complex)
-    res.real, res.imag = acc
-    return res.tolist()
+        return _complex_rows(_accumulate(a.real, a.imag, b, a != 0))

@@ -2,26 +2,26 @@
 
 Elements are finitely supported maps  group translation ↦ coefficient
 function; the product is groupoid convolution against counting measure.
+A model (`LineModel`, `CircleModel`) answers everything specific to its
+algebra: which keys are canonical, its coefficient type (whose no-argument
+instance is the zero coefficient), how a key shifts a coefficient, random
+keys of its subgroup, and its closed-form product.  Code outside the models
+only checks that two elements share a model, by equality.
+
 Two independent product routes are provided:
 
 * convolve_general  — iterates support pairs and composes the underlying
-  affine maps to find the target key (works directly on arrows);
-* convolve_closed_form — per-model index arithmetic
+  affine maps to find the target key (works directly on arrows), and
+  multiplies each pair on its own through the pure-Python kernels;
+* convolve_closed_form — the model's index arithmetic
   (f·g)_r(x) = Σ_s f_{r−s}(x+s) g_s(x)           on the line,
-  (f·g)_τ(z) = Σ_σ f_{τ−σ}(z+σ) g_σ(z)           on the circle.
+  (f·g)_τ(z) = Σ_σ f_{τ−σ}(z+σ) g_σ(z)           on the circle,
+  with all key pairs of a product in one batched kernel call; the
+  `_kernels._numpy` docstring says why its results are bitwise the
+  per-pair sums.
 
-On the circle the closed form runs every key pair through one batched numpy
-kernel (`_kernels.circle_convolve`), bitwise equal to the per-pair sum.  On
-the line it plans the product first: it skips each pair whose supports the
-witness's float enclosures prove disjoint (its product is zero) before any
-shift, aligns the others with Taylor shifts shared within the call, and
-runs every live interval of every pair through one batched kernel
-(`_kernels.poly_mul_rows`), bitwise equal to `_ref.poly_mul` because it
-keeps that kernel's order of operations and CPython's complex product
-formula.  convolve_general multiplies every pair on its own through the
-pure-Python kernels, so the two routes share no product code.
-
-The involution is (f*)_{−r}(x) = conj(f_r(x − r)).
+The two routes share no product code.  The involution is
+(f*)_{−r}(x) = conj(f_r(x − r)).
 
 For the circle over rational translations, ``matrix_representation`` maps an
 element supported on (1/p)ℤ/ℤ to a p×p matrix; with M[j][l] = f_{(l−j)/p}(z + j/p)
@@ -64,7 +64,6 @@ class LineModel:
 
     group: TranslationLattice
 
-    kind = "line"
     coefficient_type = PiecewisePoly
 
     def canonical_key(self, r: QAlpha) -> QAlpha:
@@ -77,14 +76,51 @@ class LineModel:
         """Canonical form of a key already known to lie in the group."""
         return r
 
-    def zero_coefficient(self):
-        return PiecewisePoly.zero()
-
     def key_shift(self, coeff: PiecewisePoly, s: QAlpha) -> PiecewisePoly:
         return coeff.shift_arg(s)
 
-    def compatible(self, other) -> bool:
-        return isinstance(other, LineModel) and other.group == self.group
+    def random_key(self, rng, span: int) -> QAlpha:
+        """Σ c_i·g_i over the lattice generators g_i, each c_i drawn from
+        [−span, span] in generator order."""
+        key = qa(0, 0)
+        for g in self.group.generators:
+            key = key + g[0].scale(Fraction(rng.randint(-span, span)))
+        return key
+
+    def product(self, f: "AlgebraElement",
+                g: "AlgebraElement") -> "AlgebraElement":
+        """Closed-form f·g, in three passes.
+
+        Plan: walk the key pairs (s outer, a inner), skip the pairs `_apart`
+        proves disjoint (their product is zero), and align f_a(· + s) with
+        g_s by the certified breakpoint walk; the walks share one dict of
+        Taylor shifts.  Multiply: every interval where both factors are live
+        goes through one `poly_mul_rows` call.  Sum: each pair's product is
+        trimmed and added into its key in plan order, as
+        `PiecewisePoly.__mul__` and `_add_term` would have done pair by
+        pair, so the result is bitwise that pair-by-pair sum.
+        """
+        enclose = default_witness().enclose
+        f_spans = [_span(ca, enclose) for _, ca in f.support]
+        shifts = {}
+        plan, lefts, rights = [], [], []
+        for s, cs in g.support:
+            es, g_span = enclose(s), _span(cs, enclose)
+            for (a, ca), f_span in zip(f.support, f_spans):
+                if _apart(f_span, es, g_span):
+                    continue
+                grid, mine, theirs = ca.shift_arg(s)._aligned(
+                    cs, overlap=True, shifts=shifts)
+                live = [bool(u and v) for u, v in zip(mine, theirs)]
+                lefts += [u for u, ok in zip(mine, live) if ok]
+                rights += [v for v, ok in zip(theirs, live) if ok]
+                plan.append((a + s, grid, live))
+        products = iter(poly_mul_rows(lefts, rights))
+        out = {}
+        for key, grid, live in plan:
+            pieces = [tuple(next(products)) if ok else () for ok in live]
+            _add_term(out, key, _trimmed(grid, pieces))
+        return _closed(self, out)
 
 
 _CIRCLE_KINDS = ("rational", "alpha", "full")
@@ -100,7 +136,6 @@ class CircleModel:
 
     subgroup: str = "full"
 
-    kind = "circle"
     coefficient_type = TrigPoly
 
     def __post_init__(self):
@@ -121,14 +156,39 @@ class CircleModel:
         """Canonical form of a key already known to lie in the subgroup."""
         return r.mod1()
 
-    def zero_coefficient(self):
-        return TrigPoly()
-
     def key_shift(self, coeff: TrigPoly, s: QAlpha) -> TrigPoly:
         return coeff.rotate(default_witness().to_float(s))
 
-    def compatible(self, other) -> bool:
-        return isinstance(other, CircleModel) and other.subgroup == self.subgroup
+    def random_key(self, rng, denominator: int, alpha_span: int) -> QAlpha:
+        """p/denominator + q·α: p drawn from [0, denominator) unless the
+        subgroup is αℤ, then q from [−alpha_span, alpha_span] unless it is
+        ℚ/ℤ."""
+        p = (0 if self.subgroup == "alpha"
+             else Fraction(rng.randrange(denominator), denominator))
+        q = (0 if self.subgroup == "rational"
+             else rng.randint(-alpha_span, alpha_span))
+        return qa(p, q)
+
+    def product(self, f: "AlgebraElement",
+                g: "AlgebraElement") -> "AlgebraElement":
+        """Closed-form f·g: all key pairs in one `circle_convolve` call,
+        each target key's row receiving its pairs in (s outer, a inner)
+        order, so every mode is bitwise the per-pair sum
+        Σ key_shift(f_a, s)·g_s."""
+        if not f.support or not g.support:
+            return _closed(self, {})
+        slots = {}
+        pair_slots = [slots.setdefault(self.renormalise(a + s), len(slots))
+                      for s, _ in g.support for a, _ in f.support]
+        f_off, f_rows = dense_rows([c for _, c in f.support])
+        g_off, g_rows = dense_rows([c for _, c in g.support])
+        to_float = default_witness().to_float
+        rows = circle_convolve(f_off, f_rows, g_rows,
+                               [to_float(s) for s, _ in g.support],
+                               pair_slots, len(slots))
+        off = f_off + g_off
+        return _closed(self, {key: TrigPoly._from_dense(off, row)
+                              for key, row in zip(slots, rows)})
 
 
 @dataclass(frozen=True)
@@ -149,7 +209,7 @@ class AlgebraElement:
         for r, c in self.support:
             if not isinstance(c, self.model.coefficient_type):
                 raise MixedCoefficientKindError(
-                    f"{self.model.kind} model needs "
+                    f"{type(self.model).__name__} needs "
                     f"{self.model.coefficient_type.__name__} coefficients, "
                     f"got {type(c).__name__}")
             _add_term(entries, self.model.canonical_key(r), c)
@@ -163,14 +223,14 @@ class AlgebraElement:
         for k, c in self.support:
             if k == key:
                 return c
-        return self.model.zero_coefficient()
+        return self.model.coefficient_type()
 
     @property
     def is_zero(self) -> bool:
         return not self.support
 
     def _require_same_model(self, other: "AlgebraElement"):
-        if not self.model.compatible(other.model):
+        if self.model != other.model:
             raise MixedCoefficientKindError(
                 "elements live in different algebra models")
 
@@ -197,7 +257,7 @@ class AlgebraElement:
         """Max coefficient distance over the union of supports."""
         self._require_same_model(other)
         mine, theirs = dict(self.support), dict(other.support)
-        zero = self.model.zero_coefficient()
+        zero = self.model.coefficient_type()
         worst = 0.0
         for k in mine.keys() | theirs.keys():
             worst = max(worst, mine.get(k, zero).distance(theirs.get(k, zero)))
@@ -207,13 +267,8 @@ class AlgebraElement:
         return self.distance(other) <= tol
 
     def sup_eval_bound(self) -> float:
-        total = 0.0
-        for _, c in self.support:
-            if isinstance(c, TrigPoly):
-                total += c.sup_bound()
-            else:
-                total += max((abs(x) for p in c.pieces for x in p), default=0.0)
-        return total
+        """A bound on Σ_r |c_r(x)| over every point x."""
+        return sum((c.sup_bound() for _, c in self.support), 0.0)
 
 
 def _normal_support(entries: dict) -> tuple:
@@ -271,21 +326,10 @@ def convolve_general(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
 
 
 def convolve_closed_form(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    """Convolution via index arithmetic: (f·g)_r = Σ_s f_{r−s}(· + s) g_s.
-
-    On the circle all key pairs go through one batched kernel call,
-    `_kernels.circle_convolve`, whose modes are bitwise those of the
-    per-pair sum Σ key_shift(f_a, s)·g_s in (s outer, a inner) order.  On
-    the line a pair whose supports the witness's float enclosures prove
-    disjoint is skipped before any shift, since its product is zero; the
-    other pairs are planned in the same order and multiplied by one
-    `_kernels.poly_mul_rows` call (`_line_product`), and the result is
-    bitwise the sum of their `PiecewisePoly` products.
-    """
+    """Convolution via index arithmetic: (f·g)_r = Σ_s f_{r−s}(· + s) g_s,
+    by the model's own `product`."""
     f._require_same_model(g)
-    if f.model.kind == "circle":
-        return _circle_product(f, g)
-    return _line_product(f, g)
+    return f.model.product(f, g)
 
 
 def _span(c: PiecewisePoly, enclose):
@@ -308,59 +352,6 @@ def _apart(f_span, es, g_span) -> bool:
     vs, rs = es
     return (vlo_g + vs - vhi_f > rlo_g + rs + rhi_f
             or vlo_f - vs - vhi_g > rlo_f + rs + rhi_g)
-
-
-def _line_product(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    """The line branch of `convolve_closed_form`, in three passes.
-
-    Plan: walk the key pairs (s outer, a inner), skip the pairs `_apart`
-    proves disjoint, and align f_a(· + s) with g_s by the certified
-    breakpoint walk; the walks share one dict of Taylor shifts.  Multiply:
-    every interval where both factors are live goes through one
-    `poly_mul_rows` call.  Sum: each pair's product is trimmed and added
-    into its key in plan order, as `PiecewisePoly.__mul__` and `_add_term`
-    would have done pair by pair.
-    """
-    model = f.model
-    renormalise, enclose = model.renormalise, default_witness().enclose
-    f_spans = [_span(ca, enclose) for _, ca in f.support]
-    shifts = {}
-    plan, lefts, rights = [], [], []
-    for s, cs in g.support:
-        es, g_span = enclose(s), _span(cs, enclose)
-        for (a, ca), f_span in zip(f.support, f_spans):
-            if _apart(f_span, es, g_span):
-                continue
-            grid, mine, theirs = model.key_shift(ca, s)._aligned(
-                cs, overlap=True, shifts=shifts)
-            live = [bool(u and v) for u, v in zip(mine, theirs)]
-            lefts += [u for u, ok in zip(mine, live) if ok]
-            rights += [v for v, ok in zip(theirs, live) if ok]
-            plan.append((renormalise(a + s), grid, live))
-    products = iter(poly_mul_rows(lefts, rights))
-    out = {}
-    for key, grid, live in plan:
-        pieces = [tuple(next(products)) if ok else () for ok in live]
-        _add_term(out, key, _trimmed(grid, pieces))
-    return _closed(model, out)
-
-
-def _circle_product(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    model = f.model
-    if not f.support or not g.support:
-        return _closed(model, {})
-    slots = {}
-    pair_slots = [slots.setdefault(model.renormalise(a + s), len(slots))
-                  for s, _ in g.support for a, _ in f.support]
-    f_off, f_rows = dense_rows([c for _, c in f.support])
-    g_off, g_rows = dense_rows([c for _, c in g.support])
-    to_float = default_witness().to_float
-    rows = circle_convolve(f_off, f_rows, g_rows,
-                           [to_float(s) for s, _ in g.support],
-                           pair_slots, len(slots))
-    off = f_off + g_off
-    return _closed(model, {key: TrigPoly._from_dense(off, row)
-                           for key, row in zip(slots, rows)})
 
 
 def involute(f: AlgebraElement) -> AlgebraElement:
@@ -493,7 +484,7 @@ def matrix_representation(f: AlgebraElement, p: int,
     M[j][l] = f_{(l−j)/p mod 1}(z + j/p).  Product order is reversed:
     M(f·g) = M(g)·M(f).
     """
-    if not isinstance(f.model, CircleModel) or f.model.subgroup != "rational":
+    if f.model != CircleModel("rational"):
         raise QuasifoldError("matrix representation needs the rational circle")
     if p < 1:
         raise QuasifoldError("p must be a positive integer")
@@ -526,14 +517,8 @@ def random_line_element(rng, model: LineModel, n_keys: int = 3,
     1e-12 route-comparison margin is meaningful only on such a corpus.
     """
     entries = []
-    gens = model.group.generators
     for _ in range(n_keys):
-        coeffs = [0] * len(gens)
-        for i in range(len(gens)):
-            coeffs[i] = rng.randint(-span, span)
-        key = qa(0, 0)
-        for c, g in zip(coeffs, gens):
-            key = key + g[0].scale(Fraction(c))
+        key = model.random_key(rng, span)
         lo = rng.randint(-3, 1)
         bps = tuple(qa(lo + k, 0) for k in range(3))
         pieces = tuple(
@@ -550,13 +535,7 @@ def random_circle_element(rng, model: CircleModel, n_keys: int = 3,
     """Random element with subgroup-appropriate keys and short mode lists."""
     entries = []
     for _ in range(n_keys):
-        if model.subgroup == "rational":
-            key = qa(Fraction(rng.randrange(denominator), denominator), 0)
-        elif model.subgroup == "alpha":
-            key = qa(0, rng.randint(-alpha_span, alpha_span))
-        else:
-            key = qa(Fraction(rng.randrange(denominator), denominator),
-                     rng.randint(-alpha_span, alpha_span))
+        key = model.random_key(rng, denominator, alpha_span)
         modes = tuple((k, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
                       for k in range(-n_modes, n_modes + 1))
         entries.append((key, TrigPoly(modes)))

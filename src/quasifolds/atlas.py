@@ -130,6 +130,8 @@ class Atlas:
 
     def __post_init__(self):
         charts = tuple(self.charts)
+        if not charts:
+            raise QuasifoldError("an atlas needs at least one chart")
         ids = [c.id for c in charts]
         if len(set(ids)) != len(ids):
             raise QuasifoldError("duplicate chart ids")

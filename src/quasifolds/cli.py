@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -88,8 +89,8 @@ def resolve_config(args) -> dict:
         raise UsageError(f"unknown format {cfg['format']!r}")
     if cfg["bound"] <= 0 or cfg["trials"] <= 0:
         raise UsageError("bounds and trial counts must be positive")
-    if cfg["tol"] < 0:
-        raise UsageError("tolerance must be nonnegative")
+    if not math.isfinite(cfg["tol"]) or cfg["tol"] < 0:
+        raise UsageError("tolerance must be finite and nonnegative")
     return cfg
 
 
@@ -289,28 +290,17 @@ def cmd_groupoid(args, cfg) -> dict:
     return out
 
 
-def _axiom_corpus(rng, model, trials, kind):
-    for _ in range(trials):
-        if kind == "line":
-            yield (alg.random_line_element(rng, model),
-                   alg.random_line_element(rng, model),
-                   alg.random_line_element(rng, model))
-        else:
-            yield (alg.random_circle_element(rng, model),
-                   alg.random_circle_element(rng, model),
-                   alg.random_circle_element(rng, model))
-
-
 def cmd_algebra(args, cfg) -> dict:
     rng = random.Random(cfg["seed"])
     trials = cfg["trials"]
     route_tol = 1e-12
     axiom_tol = cfg["tol"]
-    models = {
-        "line": alg.LineModel(z_alpha_lattice()),
-        "circle-full": alg.CircleModel("full"),
-        "circle-rational": alg.CircleModel("rational"),
-        "circle-alpha": alg.CircleModel("alpha"),
+    models = {  # name: (model, random element factory)
+        "line": (alg.LineModel(z_alpha_lattice()), alg.random_line_element),
+        "circle-full": (alg.CircleModel("full"), alg.random_circle_element),
+        "circle-rational": (alg.CircleModel("rational"),
+                            alg.random_circle_element),
+        "circle-alpha": (alg.CircleModel("alpha"), alg.random_circle_element),
     }
     wanted = args.model or list(models)
     checks = []
@@ -318,11 +308,11 @@ def cmd_algebra(args, cfg) -> dict:
         if name not in models:
             raise UsageError(f"unknown model {name!r}; choose from "
                              f"{sorted(models)}")
-        model = models[name]
-        kind = "line" if name == "line" else "circle"
+        model, element = models[name]
         worst = {"routes": 0.0, "support": 0, "assoc": 0.0, "star": 0.0,
                  "invol": 0.0, "bilin": 0.0}
-        for f, g, h in _axiom_corpus(rng, model, trials, kind):
+        for _ in range(trials):
+            f, g, h = (element(rng, model) for _ in range(3))
             r1 = alg.convolve_general(f, g)
             r2 = alg.convolve_closed_form(f, g)
             worst["routes"] = max(worst["routes"], r1.distance(r2))
@@ -459,7 +449,8 @@ def cmd_morita(args, cfg) -> dict:
     checks.append(check("unit-laws", "pass" if bad == 0 else "fail",
                         instances=len(germs), violations=bad))
 
-    # (ii)+(iii) associativity of each action and commutation between them
+    # (ii) associativity of the left action and (iii) commutation between
+    # the two actions; the right action's associativity is not checked
     bad_assoc = bad_comm = total = 0
     words = {}  # word searches shared by every loop below, see arrows_from
     for z in germs[: args.instance_cap]:

@@ -420,6 +420,18 @@ class PiecewisePoly:
         worst = max(worst, abs(K.poly_eval(list(self.pieces[-1]), last_width)))
         return worst
 
+    def sup_bound(self) -> float:
+        """A bound on |self(x)| over every x: the max over pieces of
+        Σ |c_k|·w^k, w the piece's width, which bounds the local polynomial
+        on [0, w]."""
+        w, bps = default_witness(), self.breakpoints
+        bound = 0.0
+        for lo, hi, p in zip(bps, bps[1:], self.pieces):
+            width = w.to_float(hi - lo)
+            bound = max(bound, sum(abs(c) * width ** k
+                                   for k, c in enumerate(p)))
+        return bound
+
     def distance(self, other: "PiecewisePoly") -> float:
         """Max coefficient difference on the merged grid (bounds nothing by
         itself, but is exactly the right notion for route comparisons).

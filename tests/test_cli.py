@@ -212,6 +212,41 @@ class TestBadInputIsRejectedAtParseTime:
         cfg.write_text(json.dumps({"trials": "x"}), encoding="utf-8")
         self.assert_usage_error(*run(capsys, "rotation", "--config", str(cfg)))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("source", ["flag", "environment", "config"])
+    def test_non_finite_tolerance(self, capsys, monkeypatch, tmp_path,
+                                  source, value):
+        # nan failed every check and inf passed every check vacuously
+        argv = ["algebra", "--model", "circle-alpha", "--trials", "1"]
+        if source == "flag":
+            argv.append(f"--tol={value}")
+        elif source == "environment":
+            monkeypatch.setenv("QUASIFOLD_TOL", value)
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"tol": value}), encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        self.assert_usage_error(code, out, err)
+        assert "tolerance must be finite" in err
+
+    def test_atlas_file_without_charts(self, capsys, tmp_path):
+        empty = tmp_path / "empty-atlas.json"
+        save_json(empty, {"charts": []})
+        code, out, err = run(capsys, "groupoid", "--atlas", str(empty))
+        self.assert_usage_error(code, out, err)
+        assert "an atlas needs at least one chart" in err
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_biatlas_file_without_charts(self, capsys, tmp_path, side):
+        obj = biatlas_to_json(get_biatlas("duplicated"))
+        obj[side] = {"charts": []}
+        empty = tmp_path / "empty-biatlas.json"
+        save_json(empty, obj)
+        code, out, err = run(capsys, "morita", "--biatlas", str(empty))
+        self.assert_usage_error(code, out, err)
+        assert "an atlas needs at least one chart" in err
+
     @pytest.mark.parametrize("argv", [
         ("rotation", "--alpha", "inf"),
         ("rotation", "--alpha", "nan"),

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from quasifolds import _kernels as K
 from quasifolds.coefficients import PiecewisePoly, TrigPoly
 from quasifolds.errors import PrecisionInsufficientError, QuasifoldError
-from quasifolds.exact import default_witness, qa
+from quasifolds.exact import (AlphaWitness, default_witness, qa,
+                              set_default_witness)
 
 W = default_witness()
 XS = [0.0, 0.17, 0.5, 0.731, 0.98]
@@ -505,6 +506,47 @@ class TestBreakpointNearTie:
             f, g = g, f
         with pytest.raises(PrecisionInsufficientError):
             {"add": f.__add__, "mul": f.__mul__, "distance": f.distance}[op](g)
+
+    def test_sums_and_distances_answer_exactly_or_raise(self):
+        """Random pieces on breakpoints k and x + k (0 ≤ k ≤ 4), never both
+        in one operand: under the default witness a sum or distance either
+        raises or gives the bits it gives under a 130-digit witness, which
+        separates x + k from k."""
+        x, precise = _fibonacci_near_tie(), AlphaWitness.golden(digits=130)
+        rng = random.Random(8)
+        outcomes = set()
+
+        def operand():
+            ks = sorted(rng.sample(range(5), rng.randint(2, 4)))
+            bps = [qa(k) + (x if rng.random() < 0.5 else qa(0)) for k in ks]
+            return PiecewisePoly(bps, [
+                [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                 for _ in range(rng.randint(1, 3))] for _ in bps[1:]])
+
+        def results(f, g):
+            out = []
+            for op, arg in ((f.__add__, g), (g.__add__, f),
+                            (f.distance, g), (g.distance, f)):
+                try:
+                    r = op(arg)
+                except PrecisionInsufficientError:
+                    out.append(None)
+                else:
+                    out.append(r.hex() if isinstance(r, float) else _bits(r))
+            return out
+
+        for _ in range(120):
+            f, g = operand(), operand()
+            near = results(f, g)
+            set_default_witness(precise)
+            separated = results(f, g)
+            set_default_witness(W)
+            for got, want in zip(near, separated):
+                assert want is not None
+                if got is not None:
+                    assert got == want
+                outcomes.add(got is None)
+        assert outcomes == {False, True}
 
 
 def _distance_by_sum(f, g):

@@ -2,8 +2,10 @@
 `saturate` and `translations_only`.  They are checked here against copies of
 the `isinstance` ladders that decided the same questions before the kinds
 answered for themselves, and a kind that overrides nothing must get the
-`GroupPresentation` defaults.  A last test keeps the decision in one module:
-no other module may switch on a group kind with `isinstance`."""
+`GroupPresentation` defaults.  The last tests keep each decision with its
+owner: no module but `groups.py` and `serialize.py` may switch on a group
+kind with `isinstance`, and none but the algebra models, the coefficient
+classes and `serialize.py` on a model, coefficient or subgroup kind."""
 
 import ast
 import itertools
@@ -319,4 +321,79 @@ def test_only_groups_and_serialize_switch_on_the_kind():
             if ((path.name, None) not in ALLOWED
                     and (path.name, function) not in ALLOWED):
                 offenders.append(f"{path.name}:{line} in {function}")
+    assert offenders == []
+
+
+# ---------------------------------------------------------------------------
+# models answer for themselves
+# ---------------------------------------------------------------------------
+
+MODEL_CLASSES = {"LineModel", "CircleModel", "TrigPoly", "PiecewisePoly"}
+# the model, coefficient and circle subgroup kinds as strings
+KIND_WORDS = {"line", "circle", "trig", "piecewise", "rational", "alpha",
+              "full"}
+# where a model or coefficient kind may be tested: the JSON format, and the
+# classes themselves
+MODEL_ALLOWED = {("serialize.py", None), ("algebra.py", "LineModel"),
+                 ("algebra.py", "CircleModel"), ("coefficients.py", "TrigPoly"),
+                 ("coefficients.py", "PiecewisePoly")}
+
+
+def _kind_words(node) -> set:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return set().union(*map(_kind_words, node.elts))
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value} & KIND_WORDS
+    return set()
+
+
+def model_tests(tree) -> list:
+    """(enclosing class or None, line) of each isinstance call whose class
+    argument names a model or coefficient class, and of each comparison of
+    a `kind` or `subgroup` (a name or an attribute) with a string naming a
+    model, coefficient or subgroup kind."""
+    found = []
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and _names(node.args[1]) & MODEL_CLASSES):
+            found.append((cls, node.lineno))
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if (any(_names(s) & {"kind", "subgroup"} for s in sides
+                    if isinstance(s, (ast.Name, ast.Attribute)))
+                    and any(map(_kind_words, sides))):
+                found.append((cls, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def test_model_tests_are_found():
+    tree = ast.parse("class LineModel:\n"
+                     "    def f(self, c):\n"
+                     "        return isinstance(c, (int, coefficients.TrigPoly))\n"
+                     "def g(m, kind):\n"
+                     "    if m.subgroup != 'rational' or kind == 'line':\n"
+                     "        return m.kind in ('circle', 'x')\n"
+                     "    if isinstance(m, CircleModel):\n"
+                     "        return m.kind == 'exact'\n")
+    assert model_tests(tree) == [("LineModel", 3), (None, 5), (None, 5),
+                                 (None, 6), (None, 7)]
+
+
+def test_only_models_and_serialize_switch_on_the_model_kind():
+    package = Path(quasifolds.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls, line in model_tests(tree):
+            if ((path.name, None) not in MODEL_ALLOWED
+                    and (path.name, cls) not in MODEL_ALLOWED):
+                offenders.append(f"{path.name}:{line} in {cls}")
     assert offenders == []
