@@ -22,8 +22,9 @@ coefficient has the bits of the per-pair route:
   for every other x.  The one exception is a zero left coefficient times an
   inf right one, which gives NaN where `_ref` adds nothing; line rows, whose
   pieces may hold the inf of an overflowed product, pass a mask that turns
-  the terms of zero left coefficients into +0, and overflow there to inf
-  and inf − inf = NaN happen silently, as in CPython.
+  the terms of zero left coefficients into +0.  In both kernels overflow
+  to inf and inf − inf = NaN happen silently, as in CPython: each call
+  enters `np.errstate` once, outside its loops.
 
 `circle_convolve` also computes each rotation phase of mode k under shift
 t as `cmath.exp(1j * tau * k)` with `tau = 2.0 * cmath.pi * t`, the
@@ -94,12 +95,14 @@ def circle_convolve(f_off, f_rows, g_rows, shifts, slots, n_slots):
     # pairs p = l·K + k run along the last, contiguous axis
     e = np.array(phases, dtype=complex).T[:, :, None]  # (n, L, 1)
     f = f.T[:, None, :]  # (n, 1, K)
-    ar = (f.real * e.real - f.imag * e.imag).reshape(n, -1)  # (n, P)
-    ai = (f.real * e.imag + f.imag * e.real).reshape(n, -1)
-    prod = _accumulate(ar, ai, np.repeat(g.T, k_count, axis=1))
-    # unbuffered: a row that several pairs share receives them in pair order
-    out = np.zeros(prod.shape[:2] + (n_slots,))
-    np.add.at(out, (slice(None), slice(None), slots), prod)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ar = (f.real * e.real - f.imag * e.imag).reshape(n, -1)  # (n, P)
+        ai = (f.real * e.imag + f.imag * e.real).reshape(n, -1)
+        prod = _accumulate(ar, ai, np.repeat(g.T, k_count, axis=1))
+        # unbuffered: a row that several pairs share receives them in pair
+        # order
+        out = np.zeros(prod.shape[:2] + (n_slots,))
+        np.add.at(out, (slice(None), slice(None), slots), prod)
     return _complex_rows(out)
 
 

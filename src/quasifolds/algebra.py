@@ -93,24 +93,32 @@ class LineModel:
 
         Plan: walk the key pairs (s outer, a inner), skip the pairs `_apart`
         proves disjoint (their product is zero), and align f_a(· + s) with
-        g_s by the certified breakpoint walk; the walks share one dict of
-        Taylor shifts.  Multiply: every interval where both factors are live
-        goes through one `poly_mul_rows` call.  Sum: each pair's product is
-        trimmed and added into its key in plan order, as
-        `PiecewisePoly.__mul__` and `_add_term` would have done pair by
-        pair, so the result is bitwise that pair-by-pair sum.
+        g_s by the certified breakpoint walk of f_a shifted by s
+        (`PiecewisePoly._aligned`), which builds no shifted copy.  Every
+        breakpoint and key is enclosed once per call, and the walks share
+        those enclosures and one dict of Taylor shifts.  Multiply: every
+        interval where both factors are live goes through one
+        `poly_mul_rows` call.  Sum: each pair's product is trimmed and added
+        into its key in plan order, as `PiecewisePoly.__mul__` and
+        `_add_term` would have done pair by pair, so the result is bitwise
+        that pair-by-pair sum.
         """
         enclose = default_witness().enclose
-        f_spans = [_span(ca, enclose) for _, ca in f.support]
+        f_bounds = [[enclose(x) for x in ca.breakpoints]
+                    for _, ca in f.support]
+        f_spans = [_span(e) for e in f_bounds]
         shifts = {}
         plan, lefts, rights = [], [], []
         for s, cs in g.support:
-            es, g_span = enclose(s), _span(cs, enclose)
-            for (a, ca), f_span in zip(f.support, f_spans):
+            es = enclose(s)
+            g_bounds = [enclose(x) for x in cs.breakpoints]
+            g_span = _span(g_bounds)
+            for (a, ca), f_bound, f_span in zip(f.support, f_bounds, f_spans):
                 if _apart(f_span, es, g_span):
                     continue
-                grid, mine, theirs = ca.shift_arg(s)._aligned(
-                    cs, overlap=True, shifts=shifts)
+                grid, mine, theirs = ca._aligned(
+                    cs, overlap=True, shifts=shifts, s=s,
+                    enclosures=(f_bound, g_bounds, es))
                 live = [bool(u and v) for u, v in zip(mine, theirs)]
                 lefts += [u for u, ok in zip(mine, live) if ok]
                 rights += [v for v, ok in zip(theirs, live) if ok]
@@ -254,13 +262,18 @@ class AlgebraElement:
         return involute(self)
 
     def distance(self, other: "AlgebraElement") -> float:
-        """Max coefficient distance over the union of supports."""
+        """Max coefficient distance over the union of supports; NaN when a
+        coefficient distance is NaN (as overflowed products give), which
+        `max` would drop."""
         self._require_same_model(other)
         mine, theirs = dict(self.support), dict(other.support)
         zero = self.model.coefficient_type()
         worst = 0.0
         for k in mine.keys() | theirs.keys():
-            worst = max(worst, mine.get(k, zero).distance(theirs.get(k, zero)))
+            d = mine.get(k, zero).distance(theirs.get(k, zero))
+            if math.isnan(d):
+                return d
+            worst = max(worst, d)
         return worst
 
     def allclose(self, other: "AlgebraElement", tol: float) -> bool:
@@ -310,15 +323,17 @@ def convolve_general(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     """Convolution by composing the underlying affine arrows pairwise.
 
     Each key r names the translation map t_r; the pair (a, s) contributes to
-    the key of t_a ∘ t_s, with coefficient f_a(x + s) · g_s(x).
+    the key of t_a ∘ t_s, with coefficient f_a(x + s) · g_s(x).  Each t_s
+    is built once per call; every pair composes its own maps and
+    canonicalises its key.
     """
     f._require_same_model(g)
     model = f.model
     out = {}
+    right = [(s, cs, AffineElement.translation((s,))) for s, cs in g.support]
     for a, ca in f.support:
         ta = AffineElement.translation((a,))
-        for s, cs in g.support:
-            ts = AffineElement.translation((s,))
+        for s, cs, ts in right:
             composed = ta.compose(ts)
             key = model.canonical_key(composed.b[0])
             _add_term(out, key, model.key_shift(ca, s) * cs)
@@ -332,11 +347,11 @@ def convolve_closed_form(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement
     return f.model.product(f, g)
 
 
-def _span(c: PiecewisePoly, enclose):
-    """Enclosures (from `AlphaWitness.enclose`) of the two ends of c's
-    support, or None; stored coefficients are nonzero, so c has
-    breakpoints."""
-    lo, hi = enclose(c.breakpoints[0]), enclose(c.breakpoints[-1])
+def _span(bounds: list):
+    """The enclosures (from `AlphaWitness.enclose`) of the two ends of a
+    coefficient's support, from those of all its breakpoints, or None;
+    stored coefficients are nonzero, so the list is not empty."""
+    lo, hi = bounds[0], bounds[-1]
     return (lo, hi) if lo is not None and hi is not None else None
 
 

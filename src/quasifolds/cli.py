@@ -290,6 +290,13 @@ def cmd_groupoid(args, cfg) -> dict:
     return out
 
 
+def _worse(worst: float, d: float) -> float:
+    """The larger of two distances, NaN once either is NaN: `max` keeps
+    its first argument against a NaN, so a NaN distance would pass every
+    tolerance check."""
+    return d if d > worst or math.isnan(d) else worst
+
+
 def cmd_algebra(args, cfg) -> dict:
     rng = random.Random(cfg["seed"])
     trials = cfg["trials"]
@@ -315,18 +322,18 @@ def cmd_algebra(args, cfg) -> dict:
             f, g, h = (element(rng, model) for _ in range(3))
             r1 = alg.convolve_general(f, g)
             r2 = alg.convolve_closed_form(f, g)
-            worst["routes"] = max(worst["routes"], r1.distance(r2))
+            worst["routes"] = _worse(worst["routes"], r1.distance(r2))
             if r1.keys() != r2.keys():
                 worst["support"] += 1
-            worst["assoc"] = max(worst["assoc"],
-                                 (r2 * h).distance(f * (g * h)))
-            worst["star"] = max(worst["star"],
-                                r2.star().distance(g.star() * f.star()))
-            worst["invol"] = max(worst["invol"],
-                                 f.star().star().distance(f))
+            worst["assoc"] = _worse(worst["assoc"],
+                                    (r2 * h).distance(f * (g * h)))
+            worst["star"] = _worse(worst["star"],
+                                   r2.star().distance(g.star() * f.star()))
+            worst["invol"] = _worse(worst["invol"],
+                                    f.star().star().distance(f))
             lhs = (f + g.scale(2.5 - 1.5j)) * h
             rhs = f * h + (g * h).scale(2.5 - 1.5j)
-            worst["bilin"] = max(worst["bilin"], lhs.distance(rhs))
+            worst["bilin"] = _worse(worst["bilin"], lhs.distance(rhs))
         checks.append(check(
             f"{name}-routes-agree",
             "pass" if worst["routes"] <= route_tol and not worst["support"]
@@ -411,12 +418,12 @@ def cmd_rq_algebra(args, cfg) -> dict:
         g = alg.random_circle_element(rng, model, denominator=denominator)
         r1 = alg.convolve_general(f, g)
         r2 = alg.convolve_closed_form(f, g)
-        worst_routes = max(worst_routes, r1.distance(r2))
+        worst_routes = _worse(worst_routes, r1.distance(r2))
         z = rng.uniform(0.0, 1.0)
         Mf = alg.matrix_representation(f, denominator, z)
         Ms = alg.matrix_representation(f.star(), denominator, z)
-        worst_adjoint = max(worst_adjoint,
-                            (Ms - Mf.conjugate_transpose()).sup_norm())
+        worst_adjoint = _worse(worst_adjoint,
+                               (Ms - Mf.conjugate_transpose()).sup_norm())
     checks = [
         check("routes-agree", "pass" if worst_routes <= 1e-12 else "fail",
               max_distance=worst_routes, tol=1e-12, trials=trials),
@@ -449,9 +456,9 @@ def cmd_morita(args, cfg) -> dict:
     checks.append(check("unit-laws", "pass" if bad == 0 else "fail",
                         instances=len(germs), violations=bad))
 
-    # (ii) associativity of the left action and (iii) commutation between
-    # the two actions; the right action's associativity is not checked
-    bad_assoc = bad_comm = total = 0
+    # (ii) associativity of each action and (iii) commutation between the
+    # two actions
+    bad_assoc = bad_comm = assoc_total = comm_total = 0
     words = {}  # word searches shared by every loop below, see arrows_from
     for z in germs[: args.instance_cap]:
         lefts = G.fiber_over(z.src, 1, words=words)
@@ -463,7 +470,15 @@ def cmd_morita(args, cfg) -> dict:
                 if bim.left_act(composite, z) != bim.left_act(
                         g1, bim.left_act(g, z)):
                     bad_assoc += 1
-                total += 1
+                assoc_total += 1
+        for gp in rights[:4]:
+            deeper = Gp.arrows_from(gp.trg, 1, words=words)
+            for gp1 in deeper[:3]:
+                composite = arrow_compose(gp, gp1)
+                if bim.right_act(z, composite) != bim.right_act(
+                        bim.right_act(z, gp), gp1):
+                    bad_assoc += 1
+                assoc_total += 1
         for g in lefts[:4]:
             for gp in rights[:4]:
                 lhs = bim.right_act(bim.left_act(g, z), gp)
@@ -471,12 +486,12 @@ def cmd_morita(args, cfg) -> dict:
                 if lhs != rhs:
                     bad_comm += 1
                     failures.append({"axiom": "commute", "germ": z.to_json()})
-                total += 1
+                comm_total += 1
     checks.append(check("action-associativity",
                         "pass" if bad_assoc == 0 else "fail",
-                        violations=bad_assoc, instances=total))
+                        violations=bad_assoc, instances=assoc_total))
     checks.append(check("actions-commute", "pass" if bad_comm == 0 else "fail",
-                        violations=bad_comm, instances=total))
+                        violations=bad_comm, instances=comm_total))
 
     # (iv) freeness: the self-witness must be the unit
     bad = 0

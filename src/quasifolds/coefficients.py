@@ -13,11 +13,14 @@ Q+Qα breakpoints.  Piece coefficients are stored in local coordinates
 u = x − (left breakpoint), which makes translation exact in both breakpoints
 and coefficients.  A sum, product or distance aligns its two operands with
 one ordered walk through both breakpoint tuples (`PiecewisePoly._aligned`),
-O(n + m) steps and no sort.  The walk orders two breakpoints by exact
-equality, else by the witness's binary64 enclosures, else by certified
-`compare` (`AlphaWitness.order`), and Taylor-shifts a piece to a grid point
-by the witness's float of the exact offset.  A product asks for local
-coefficients only where both factors are live.
+O(n + m) steps and no sort; operands with equal breakpoint tuples need no
+walk.  The walk orders two breakpoints by exact equality, else by the
+witness's binary64 enclosures, else by certified `compare`
+(`AlphaWitness.order`), and Taylor-shifts a piece to a grid point by the
+witness's float of the exact offset.  It can also walk its left operand
+shifted by an exact s, with no shifted copy, and take the enclosures from
+its caller: a line product walks each coefficient against many others.  A
+product asks for local coefficients only where both factors are live.
 """
 
 from __future__ import annotations
@@ -231,6 +234,26 @@ def _require_finite(coefficients, kind: str):
         raise QuasifoldError(f"{kind} coefficients must be finite")
 
 
+def _taylor(coeffs: tuple, offset: QAlpha, to_float,
+            shifts: dict | None) -> tuple:
+    """The piece `coeffs` Taylor-shifted by the exact, nonzero `offset`,
+    through the witness's float of it (`to_float`).
+
+    With a `shifts` dict, a shift is computed once per (piece, exact
+    offset) and kept there.  The piece is keyed by identity, since pieces
+    that differ only in the sign of a zero compare equal but shift to
+    different bits; the entry holds the piece, so its id is not reused
+    while the dict lives."""
+    if shifts is None:
+        return tuple(K.poly_shift(list(coeffs), to_float(offset)))
+    key = (id(coeffs), offset)
+    hit = shifts.get(key)
+    if hit is None:
+        hit = shifts[key] = (coeffs, tuple(
+            K.poly_shift(list(coeffs), to_float(offset))))
+    return hit[1]
+
+
 @dataclass(frozen=True)
 class PiecewisePoly:
     """Compactly supported piecewise polynomial with exact breakpoints.
@@ -310,23 +333,38 @@ class PiecewisePoly:
 
     # -- grid alignment --
     def _aligned(self, other: "PiecewisePoly", overlap: bool = False,
-                 shifts: dict | None = None):
+                 shifts: dict | None = None, s: QAlpha | None = None,
+                 enclosures: tuple | None = None):
         """(grid, mine, theirs): both operands' breakpoints in order, and
         each one's local coefficients per grid interval (() off its support;
         with `overlap`, () for both wherever either is off its support).
 
-        The walk orders its two heads with the witness's three-stage
-        `order`: an exactly equal pair enters the grid once (as self's
-        breakpoint); binary64 enclosures, computed once per breakpoint per
-        call, decide a separated pair; only an undecided pair reaches
-        certified `compare`, which raises PrecisionInsufficientError on a
-        near-tie.  `shifts`, a dict owned by the caller, shares Taylor
-        shifts between walks (see `_local`)."""
-        w = default_witness()
+        With an exact shift `s`, the left operand is self(· + s): its
+        breakpoints read b − s and its pieces are self's, as for
+        `self.shift_arg(s)`, but no shifted copy is built.  Operands with
+        equal breakpoint tuples and no shift need no walk: the grid is
+        theirs and the pieces are the stored ones.
+
+        The walk orders its two heads with the witness's `order`: an
+        exactly equal pair enters the grid once; binary64 enclosures decide
+        a separated pair; only an undecided pair reaches certified
+        `compare`, which raises PrecisionInsufficientError on a near-tie.
+        `enclosures`, the caller's (self's, other's, s's) from `enclose`,
+        spares a caller that walks one operand many times the enclosing;
+        without it each breakpoint is enclosed once per call.  `shifts`, a
+        dict owned by the caller, shares Taylor shifts between walks (see
+        `_taylor`)."""
         a, b = self.breakpoints, other.breakpoints
-        enclose, order = w.enclose, w.order
-        ea = [enclose(x) for x in a]
-        eb = [enclose(x) for x in b]
+        if s is None and a == b:
+            return list(a), list(self.pieces), list(other.pieces)
+        w = default_witness()
+        if enclosures is None:
+            enclose = w.enclose
+            enclosures = ([enclose(x) for x in a], [enclose(x) for x in b],
+                          None if s is None else enclose(s))
+        ea, eb, es = enclosures
+        order, to_float = w.order, w.to_float
+        pa, pb = self.pieces, other.pieces
         n, m = len(a), len(b)
         i = j = 0
         grid, mine, theirs = [], [], []
@@ -336,48 +374,31 @@ class PiecewisePoly:
             elif i == n:
                 sign = 1
             else:
-                sign = order(a[i], b[j], ea[i], eb[j])
-            if sign <= 0:
-                x = a[i]
-                i += 1
-                if sign == 0:
-                    j += 1
-            else:
+                sign = order(a[i], b[j], ea[i], eb[j], s, es)
+            # x enters the grid (a tie as other's breakpoint, which needs no
+            # subtraction); a piece that starts there is read as stored,
+            # one that started before is Taylor-shifted to x
+            if sign >= 0:
                 x = b[j]
+            else:
+                x = a[i] if s is None else a[i] - s
+            if sign <= 0:
+                i += 1
+                start_a = x
+            if sign >= 0:
                 j += 1
+                start_b = x
             grid.append(x)
             if overlap and not (0 < i < n and 0 < j < m):
                 mine.append(())
                 theirs.append(())
-            else:
-                mine.append(self._local(i, x, w, shifts))
-                theirs.append(other._local(j, x, w, shifts))
+                continue
+            mine.append(() if not 0 < i < n else pa[i - 1] if sign <= 0
+                        else _taylor(pa[i - 1], x - start_a, to_float, shifts))
+            theirs.append(() if not 0 < j < m else pb[j - 1] if sign >= 0
+                          else _taylor(pb[j - 1], x - start_b, to_float,
+                                       shifts))
         return grid, mine[:-1], theirs[:-1]
-
-    def _local(self, i: int, x: QAlpha, w,
-               shifts: dict | None = None) -> tuple:
-        """Coefficients at grid point x, past i of self's breakpoints: piece
-        i − 1 Taylor-shifted to start at x, or () outside the support.
-
-        With a `shifts` dict, a shift is computed once per (piece, exact
-        offset) and kept there.  The piece is keyed by identity, since
-        pieces that differ only in the sign of a zero compare equal but
-        shift to different bits; the entry holds the piece, so its id is
-        not reused while the dict lives."""
-        if not 0 < i < len(self.breakpoints):
-            return ()
-        base, coeffs = self.breakpoints[i - 1], self.pieces[i - 1]
-        if x == base:
-            return coeffs
-        offset = x - base
-        if shifts is None:
-            return tuple(K.poly_shift(list(coeffs), w.to_float(offset)))
-        key = (id(coeffs), offset)
-        hit = shifts.get(key)
-        if hit is None:
-            hit = shifts[key] = (coeffs, tuple(
-                K.poly_shift(list(coeffs), w.to_float(offset))))
-        return hit[1]
 
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         if not self.breakpoints or not other.breakpoints:
@@ -438,15 +459,19 @@ class PiecewisePoly:
 
         Each difference is u + v·(−1.0), a missing coefficient read as 0j,
         not u − v: the two differ in abs (NaN against inf) when v has a
-        non-finite part, as products that overflow can have.  The max is
-        taken per interval, so a NaN difference hides values of its own
-        interval only."""
+        non-finite part, as products that overflow can have.  Where the
+        pieces have equal lengths and every v is finite, abs(u − v) is that
+        same float and is taken directly.  The max is taken per interval,
+        so a NaN difference hides values of its own interval only."""
         _, mine, theirs = self._aligned(other)
         worst = 0.0
         for a, b in zip(mine, theirs):
-            worst = max(worst, max((abs(u + v * -1.0) for u, v
-                                    in zip_longest(a, b, fillvalue=0j)),
-                                   default=0.0))
+            if len(a) == len(b) and all(map(cmath.isfinite, b)):
+                d = max(map(abs, map(operator.sub, a, b)), default=0.0)
+            else:
+                d = max((abs(u + v * -1.0) for u, v
+                         in zip_longest(a, b, fillvalue=0j)), default=0.0)
+            worst = max(worst, d)
         return worst
 
     def allclose(self, other: "PiecewisePoly", tol: float) -> bool:

@@ -412,21 +412,37 @@ class AlphaWitness:
         t = b * alpha
         return (a + t) / d, (abs(a) + abs(t)) / d * c1 + c0
 
-    def order(self, x: QAlpha, y: QAlpha, ex, ey) -> int:
-        """Sign of x − y in three stages: 0 for equal values; the sign of
-        vx − vy when the enclosures `ex`, `ey` (from `enclose`, or None)
-        separate; otherwise certified `compare`, which raises
-        PrecisionInsufficientError on a near-tie."""
-        if x == y:
-            return 0
-        if ex is not None and ey is not None:
-            gap = ex[0] - ey[0]
-            radius = ex[1] + ey[1]
+    def order(self, x: QAlpha, y: QAlpha, ex, ey, s: Optional[QAlpha] = None,
+              es=None) -> int:
+        """Sign of x − y, or with an exact shift `s` of x − s − y, from the
+        enclosures `ex`, `ey` and `es` (from `enclose`, or None) of x, y
+        and s.  Without a shift: 0 for equal values, else the sign of
+        vx − vy when the enclosures separate, else certified `compare`.
+        With one: the sign of vx − vs − vy when the three enclosures
+        separate (`enclose`'s rule for a sum of three), else 0 when x − s
+        equals y, else certified `compare`.  Either way `compare` raises
+        PrecisionInsufficientError on a near-tie, and the sign does not
+        depend on which stage gave it."""
+        if s is None:
+            if x == y:
+                return 0
+            if ex is not None and ey is not None:
+                gap = ex[0] - ey[0]
+                radius = ex[1] + ey[1]
+                if gap > radius:
+                    return 1
+                if -gap > radius:
+                    return -1
+            return self.compare(x, y)
+        if ex is not None and ey is not None and es is not None:
+            gap = ex[0] - es[0] - ey[0]
+            radius = ex[1] + es[1] + ey[1]
             if gap > radius:
                 return 1
             if -gap > radius:
                 return -1
-        return self.compare(x, y)
+        x = x - s
+        return 0 if x == y else self.compare(x, y)
 
     def compare(self, x: QAlpha, y=None) -> int:
         """Sign of x − y (−1, 0, +1); exact 0 only from equal coefficients.

@@ -5,6 +5,7 @@ representation of the rational circle algebra."""
 import cmath
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,37 @@ class TestElementBasics:
         m = line_model()
         f = delta(m, qa(1, 1), bump(qa(0), qa(1), 2.0))
         assert (f - f).is_zero
+
+
+class TestOverflowedProducts:
+    """t·δ₀ with t = 1e200 on modes 0 and 1: f·f and (2f)·f overflow to inf,
+    and their coefficient distance is inf − inf = NaN."""
+
+    @staticmethod
+    def products():
+        f = delta(CircleModel("full"), qa(0),
+                  TrigPoly(((0, 1e200), (1, 1e200))))
+        return f * f, f.scale(2) * f
+
+    def test_nan_coefficient_distance_makes_the_element_distance_nan(self):
+        a, b = self.products()
+        ((_, ca),), ((_, cb),) = a.support, b.support
+        assert math.isnan(ca.distance(cb))
+        assert math.isnan(a.distance(b)) and math.isnan(b.distance(a))
+        assert not a.allclose(b, 1e-9)
+
+    def test_a_nan_key_is_not_hidden_by_the_other_keys(self):
+        a, b = self.products()
+        extra = delta(CircleModel("full"), qa(0, 1), TrigPoly.one())
+        assert math.isnan((a + extra).distance(b + extra.scale(3)))
+
+    def test_overflow_is_silent_on_both_routes(self):
+        f = self.products()[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.products()
+            convolve_general(f, f)
+            convolve_closed_form(f, f)
 
 
 class TestConvolutionRoutes:

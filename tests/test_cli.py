@@ -20,6 +20,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quasifolds import bimodule as bim
+from quasifolds.algebra import AlgebraElement, ComplexMatrix
 from quasifolds.atlas import Atlas, Chart, Transition
 from quasifolds.bimodule import BiAtlas, LinkingGerm
 from quasifolds.catalog import (builtin_atlases, builtin_biatlases,
@@ -508,10 +510,10 @@ class TestDeterminism:
          "58275e13fad955caa6cc5b5fe267a31e933a0303b009f7c05018216caae6045c",
          EXIT_PASS),
         (("morita", "--biatlas", "two-scale", "--word-length", "1"),
-         "cb4bd894a8612be21a809eb9053b09c612ccff23a454f9e936d77fc8288fa2ad",
+         "41507c4b5e0b52874f232fe57cd4958be3cc39e706ac56e6d04981d840b8a326",
          EXIT_PASS),
         (("morita", "--biatlas", "duplicated", "--word-length", "2"),
-         "8dbb6fa5138ba5caa750f89ac55307e629499ecbc28c475d0ea95aeb21a56733",
+         "0f4d04f91e2ece5ee862282bd865318735209ec04a08b8c2a0133d7faf3520e0",
          EXIT_PASS),
         (("lift", "construct", "--biatlas", "two-scale", "--r", "1/3+α",
           "--rp", "2/3+α*2"),
@@ -677,6 +679,77 @@ class TestCommandContent:
         unit = next(c for c in report["checks"] if c["name"] == "unit-laws")
         assert unit["status"] == "pass"
         assert code == EXIT_PASS
+
+
+    def test_morita_counts_the_instances_of_each_check(self, capsys):
+        _, report, _ = run_json(capsys, "morita", "--biatlas", "two-scale",
+                                "--word-length", "1")
+        detail = {c["name"]: c["detail"] for c in report["checks"]}
+        # 720 composites g₁∘g of left arrows, 720 of right arrows g′∘g₁′,
+        # 960 commutation squares
+        assert detail["action-associativity"]["instances"] == 1440
+        assert detail["actions-commute"]["instances"] == 960
+
+    def test_morita_checks_the_right_action_associativity(self, capsys,
+                                                          monkeypatch):
+        """z·g′ := r∘g′∘z, with r the reflection about the target point,
+        keeps every target and the left action but is no action:
+        (z·g′)·g₁′ = r∘g₁′∘r∘g′∘z differs from z·(g′ then g₁′) =
+        r∘g₁′∘g′∘z.  The commutation check cannot see it."""
+        right_act = bim.right_act
+
+        def twisted(z, gp):
+            moved = right_act(z, gp)
+            (y,) = moved.trg.coords
+            flip = AffineElement.translation((y.scale(2),)).compose(
+                AffineElement.linear(((-1,),)))
+            return LinkingGerm(moved.src, flip.compose(moved.map),
+                               moved.dst_chart)
+
+        monkeypatch.setattr(bim, "right_act", twisted)
+        _, report, _ = run_json(capsys, "morita", "--biatlas", "two-scale",
+                                "--word-length", "1")
+        check = {c["name"]: c for c in report["checks"]}
+        assert check["actions-commute"]["status"] == "pass"
+        assert check["action-associativity"]["status"] == "fail"
+        assert check["action-associativity"]["detail"] == {
+            "instances": 1440, "violations": 720}
+
+
+class TestNanDistancesFail:
+    """A NaN distance, as products that overflow give, fails its check:
+    `max` would keep the running worst against it."""
+
+    @staticmethod
+    def nan_first(monkeypatch, cls, name, count):
+        """cls.name returns NaN on its first `count` calls."""
+        original, calls = getattr(cls, name), []
+
+        def patched(*args):
+            calls.append(None)
+            value = original(*args)
+            return math.nan if len(calls) <= count else value
+
+        monkeypatch.setattr(cls, name, patched)
+
+    def test_algebra_checks(self, capsys, monkeypatch):
+        # the five distances of the first trial are NaN, the second's real
+        self.nan_first(monkeypatch, AlgebraElement, "distance", 5)
+        code, report, _ = run_json(capsys, "algebra", "--model",
+                                   "circle-full", "--trials", "2")
+        assert code == EXIT_FAIL
+        assert [c["status"] for c in report["checks"]] == ["fail"] * 5
+        assert all(math.isnan(c["detail"]["max_distance"])
+                   for c in report["checks"])
+
+    def test_rational_circle_checks(self, capsys, monkeypatch):
+        self.nan_first(monkeypatch, AlgebraElement, "distance", 1)
+        self.nan_first(monkeypatch, ComplexMatrix, "sup_norm", 1)
+        code, report, _ = run_json(capsys, "rq-algebra", "--trials", "2")
+        status = {c["name"]: c["status"] for c in report["checks"]}
+        assert code == EXIT_FAIL
+        assert status == {"routes-agree": "fail", "star-is-adjoint": "fail",
+                          "product-order-constant": "pass"}
 
 
 # commands and options no other test runs, each at a small size: (argv, the
