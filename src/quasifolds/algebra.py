@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernels import circle_convolve, poly_mul_rows
-from .coefficients import PiecewisePoly, TrigPoly, _trimmed, dense_rows
+from .coefficients import (PiecewisePoly, TrigPoly, _largest, _trimmed,
+                           dense_rows)
 from .errors import (MixedCoefficientKindError, QuasifoldError,
                      SupportEscapesSubgroupError)
 from .exact import AffineElement, QAlpha, Trit, default_witness, qa
@@ -91,34 +92,24 @@ class LineModel:
                 g: "AlgebraElement") -> "AlgebraElement":
         """Closed-form f·g, in three passes.
 
-        Plan: walk the key pairs (s outer, a inner), skip the pairs `_apart`
-        proves disjoint (their product is zero), and align f_a(· + s) with
-        g_s by the certified breakpoint walk of f_a shifted by s
-        (`PiecewisePoly._aligned`), which builds no shifted copy.  Every
-        breakpoint and key is enclosed once per call, and the walks share
-        those enclosures and one dict of Taylor shifts.  Multiply: every
+        Plan: walk the key pairs (s outer, a inner), skip the pairs
+        `PiecewisePoly._disjoint` proves disjoint (their product is zero),
+        and align f_a(· + s) with g_s by the certified breakpoint walk of
+        f_a shifted by s (`PiecewisePoly._aligned`), which builds no shifted
+        copy.  One memo per call keeps every coefficient's and key's
+        enclosures and the Taylor shifts for all the walks.  Multiply: every
         interval where both factors are live goes through one
         `poly_mul_rows` call.  Sum: each pair's product is trimmed and added
         into its key in plan order, as `PiecewisePoly.__mul__` and
         `_add_term` would have done pair by pair, so the result is bitwise
         that pair-by-pair sum.
         """
-        enclose = default_witness().enclose
-        f_bounds = [[enclose(x) for x in ca.breakpoints]
-                    for _, ca in f.support]
-        f_spans = [_span(e) for e in f_bounds]
-        shifts = {}
-        plan, lefts, rights = [], [], []
+        memo, plan, lefts, rights = {}, [], [], []
         for s, cs in g.support:
-            es = enclose(s)
-            g_bounds = [enclose(x) for x in cs.breakpoints]
-            g_span = _span(g_bounds)
-            for (a, ca), f_bound, f_span in zip(f.support, f_bounds, f_spans):
-                if _apart(f_span, es, g_span):
+            for a, ca in f.support:
+                if ca._disjoint(cs, s, memo):
                     continue
-                grid, mine, theirs = ca._aligned(
-                    cs, overlap=True, shifts=shifts, s=s,
-                    enclosures=(f_bound, g_bounds, es))
+                grid, mine, theirs = ca._aligned(cs, True, s, memo)
                 live = [bool(u and v) for u, v in zip(mine, theirs)]
                 lefts += [u for u, ok in zip(mine, live) if ok]
                 rights += [v for v, ok in zip(theirs, live) if ok]
@@ -268,13 +259,8 @@ class AlgebraElement:
         self._require_same_model(other)
         mine, theirs = dict(self.support), dict(other.support)
         zero = self.model.coefficient_type()
-        worst = 0.0
-        for k in mine.keys() | theirs.keys():
-            d = mine.get(k, zero).distance(theirs.get(k, zero))
-            if math.isnan(d):
-                return d
-            worst = max(worst, d)
-        return worst
+        return _largest(mine.get(k, zero).distance(theirs.get(k, zero))
+                        for k in mine.keys() | theirs.keys())
 
     def allclose(self, other: "AlgebraElement", tol: float) -> bool:
         return self.distance(other) <= tol
@@ -347,28 +333,6 @@ def convolve_closed_form(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement
     return f.model.product(f, g)
 
 
-def _span(bounds: list):
-    """The enclosures (from `AlphaWitness.enclose`) of the two ends of a
-    coefficient's support, from those of all its breakpoints, or None;
-    stored coefficients are nonzero, so the list is not empty."""
-    lo, hi = bounds[0], bounds[-1]
-    return (lo, hi) if lo is not None and hi is not None else None
-
-
-def _apart(f_span, es, g_span) -> bool:
-    """True when the enclosures prove the support of f(· + s), [lo_f − s,
-    hi_f − s], and that of g, [lo_g, hi_g], disjoint: lo_g + s − hi_f > 0
-    or lo_f − s − hi_g > 0, each by `AlphaWitness.enclose`'s rule for a
-    sum of three enclosed values.  False when they cannot decide."""
-    if f_span is None or es is None or g_span is None:
-        return False
-    (vlo_f, rlo_f), (vhi_f, rhi_f) = f_span
-    (vlo_g, rlo_g), (vhi_g, rhi_g) = g_span
-    vs, rs = es
-    return (vlo_g + vs - vhi_f > rlo_g + rs + rhi_f
-            or vlo_f - vs - vhi_g > rlo_f + rs + rhi_g)
-
-
 def involute(f: AlgebraElement) -> AlgebraElement:
     """Adjoint for counting-measure convolution: (f*)_{−r}(x) = conj(f_r(x−r))."""
     model = f.model
@@ -419,7 +383,7 @@ def rotation_relation(max_power: int = 3) -> dict:
             Vn = power(V, n)
             lhs = convolve_closed_form(Vn, Um)
             rhs = convolve_closed_form(Um, Vn).scale(lam ** (m * n))
-            worst_power = max(worst_power, lhs.distance(rhs))
+            worst_power = _largest((worst_power, lhs.distance(rhs)))
 
     return {
         "lambda": lam,
@@ -480,7 +444,8 @@ class ComplexMatrix:
             for ra, rb in zip(self.rows, other.rows)))
 
     def sup_norm(self) -> float:
-        return max((abs(x) for r in self.rows for x in r), default=0.0)
+        """Largest entry modulus; NaN when an entry's is NaN."""
+        return _largest(abs(x) for r in self.rows for x in r)
 
     def conjugate_transpose(self) -> "ComplexMatrix":
         n, m = self.shape

@@ -27,6 +27,7 @@ from . import bimodule as bim
 from . import lifting as lift
 from .atlas import StructureGroupoid
 from .catalog import builtin_atlases, builtin_biatlases, z_alpha_lattice
+from .coefficients import _largest
 from .errors import (FibersIncompatibleError, InconclusiveAtBoundError,
                      PrecisionInsufficientError, QuasifoldError)
 from .exact import (AlphaWitness, QAlpha, compare, default_witness, qa,
@@ -290,13 +291,6 @@ def cmd_groupoid(args, cfg) -> dict:
     return out
 
 
-def _worse(worst: float, d: float) -> float:
-    """The larger of two distances, NaN once either is NaN: `max` keeps
-    its first argument against a NaN, so a NaN distance would pass every
-    tolerance check."""
-    return d if d > worst or math.isnan(d) else worst
-
-
 def cmd_algebra(args, cfg) -> dict:
     rng = random.Random(cfg["seed"])
     trials = cfg["trials"]
@@ -322,18 +316,18 @@ def cmd_algebra(args, cfg) -> dict:
             f, g, h = (element(rng, model) for _ in range(3))
             r1 = alg.convolve_general(f, g)
             r2 = alg.convolve_closed_form(f, g)
-            worst["routes"] = _worse(worst["routes"], r1.distance(r2))
+            worst["routes"] = _largest((worst["routes"], r1.distance(r2)))
             if r1.keys() != r2.keys():
                 worst["support"] += 1
-            worst["assoc"] = _worse(worst["assoc"],
-                                    (r2 * h).distance(f * (g * h)))
-            worst["star"] = _worse(worst["star"],
-                                   r2.star().distance(g.star() * f.star()))
-            worst["invol"] = _worse(worst["invol"],
-                                    f.star().star().distance(f))
+            worst["assoc"] = _largest((worst["assoc"],
+                                       (r2 * h).distance(f * (g * h))))
+            worst["star"] = _largest((worst["star"],
+                                      r2.star().distance(g.star() * f.star())))
+            worst["invol"] = _largest((worst["invol"],
+                                       f.star().star().distance(f)))
             lhs = (f + g.scale(2.5 - 1.5j)) * h
             rhs = f * h + (g * h).scale(2.5 - 1.5j)
-            worst["bilin"] = _worse(worst["bilin"], lhs.distance(rhs))
+            worst["bilin"] = _largest((worst["bilin"], lhs.distance(rhs)))
         checks.append(check(
             f"{name}-routes-agree",
             "pass" if worst["routes"] <= route_tol and not worst["support"]
@@ -387,7 +381,7 @@ def cmd_repr(args, cfg) -> dict:
                 M = alg.matrix_representation(starred, p, z)
                 Mf = alg.matrix_representation(f, p, z)
                 Mg = alg.matrix_representation(g, p, z)
-                worst = max(worst, (M - (Mf @ Mg)).sup_norm())
+                worst = _largest((worst, (M - (Mf @ Mg)).sup_norm()))
         checks.append(check(f"repr-multiplicative-p{p}",
                             "pass" if worst <= cfg["tol"] else "fail",
                             max_deviation=worst, tol=cfg["tol"],
@@ -418,12 +412,12 @@ def cmd_rq_algebra(args, cfg) -> dict:
         g = alg.random_circle_element(rng, model, denominator=denominator)
         r1 = alg.convolve_general(f, g)
         r2 = alg.convolve_closed_form(f, g)
-        worst_routes = _worse(worst_routes, r1.distance(r2))
+        worst_routes = _largest((worst_routes, r1.distance(r2)))
         z = rng.uniform(0.0, 1.0)
         Mf = alg.matrix_representation(f, denominator, z)
         Ms = alg.matrix_representation(f.star(), denominator, z)
-        worst_adjoint = _worse(worst_adjoint,
-                               (Ms - Mf.conjugate_transpose()).sup_norm())
+        worst_adjoint = _largest((worst_adjoint,
+                                  (Ms - Mf.conjugate_transpose()).sup_norm()))
     checks = [
         check("routes-agree", "pass" if worst_routes <= 1e-12 else "fail",
               max_distance=worst_routes, tol=1e-12, trials=trials),

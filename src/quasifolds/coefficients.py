@@ -14,18 +14,22 @@ u = x − (left breakpoint), which makes translation exact in both breakpoints
 and coefficients.  A sum, product or distance aligns its two operands with
 one ordered walk through both breakpoint tuples (`PiecewisePoly._aligned`),
 O(n + m) steps and no sort; operands with equal breakpoint tuples need no
-walk.  The walk orders two breakpoints by exact equality, else by the
-witness's binary64 enclosures, else by certified `compare`
-(`AlphaWitness.order`), and Taylor-shifts a piece to a grid point by the
-witness's float of the exact offset.  It can also walk its left operand
-shifted by an exact s, with no shifted copy, and take the enclosures from
-its caller: a line product walks each coefficient against many others.  A
-product asks for local coefficients only where both factors are live.
+walk.  The walk orders two breakpoints by the witness's binary64
+enclosures (`enclosed_sign`), else by exact equality, else by certified
+`compare` (`AlphaWitness.order`), and Taylor-shifts a piece to a grid point
+by the witness's float of the exact offset.  It can also walk its left
+operand shifted by an exact s, with no shifted copy, and keep enclosures
+and Taylor shifts in a memo its caller passes on: a line product walks each
+coefficient against many others, and first asks `_disjoint`, by the same
+enclosures, whether a pair's supports are apart.  A product asks for local
+coefficients only where both factors are live.  Distances are NaN when a
+coefficient difference is NaN (`_largest`).
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import zip_longest
@@ -33,7 +37,7 @@ from typing import Sequence
 
 from . import _kernels as K
 from .errors import QuasifoldError
-from .exact import QAlpha, _as_qalpha, default_witness
+from .exact import QAlpha, _as_qalpha, default_witness, enclosed_sign
 
 __all__ = ["TrigPoly", "PiecewisePoly"]
 
@@ -176,8 +180,9 @@ class TrigPoly:
         return sum(map(abs, self.coeffs))
 
     def distance(self, other: "TrigPoly") -> float:
+        """Max coefficient difference; NaN when a difference is NaN."""
         _, (a, b) = dense_rows((self, other))
-        return max(map(abs, map(operator.sub, a, b)), default=0.0)
+        return _largest(map(abs, map(operator.sub, a, b)))
 
     def allclose(self, other: "TrigPoly", tol: float) -> bool:
         return self.distance(other) <= tol
@@ -234,23 +239,45 @@ def _require_finite(coefficients, kind: str):
         raise QuasifoldError(f"{kind} coefficients must be finite")
 
 
-def _taylor(coeffs: tuple, offset: QAlpha, to_float,
-            shifts: dict | None) -> tuple:
-    """The piece `coeffs` Taylor-shifted by the exact, nonzero `offset`,
-    through the witness's float of it (`to_float`).
+def _largest(values) -> float:
+    """The largest of `values`, magnitudes ≥ 0 (0.0 for none), or the first
+    NaN among them: `max` keeps its running value against a NaN, so a NaN
+    distance would pass every tolerance check.  A sum of such values is
+    NaN exactly when one of them is."""
+    values = list(values)
+    if math.isnan(sum(values)):
+        return next(filter(math.isnan, values))
+    return max(values, default=0.0)
 
-    With a `shifts` dict, a shift is computed once per (piece, exact
-    offset) and kept there.  The piece is keyed by identity, since pieces
-    that differ only in the sign of a zero compare equal but shift to
-    different bits; the entry holds the piece, so its id is not reused
-    while the dict lives."""
-    if shifts is None:
-        return tuple(K.poly_shift(list(coeffs), to_float(offset)))
+
+def _taylor(coeffs: tuple, offset: QAlpha, to_float, memo: dict) -> tuple:
+    """The piece `coeffs` Taylor-shifted by the exact, nonzero `offset`,
+    through the witness's float of it (`to_float`), computed once per
+    (piece, offset) and kept in `memo`.  The piece is keyed by identity,
+    since pieces that differ only in the sign of a zero compare equal but
+    shift to different bits; the entry holds the piece, so its id is not
+    reused while the memo lives."""
     key = (id(coeffs), offset)
-    hit = shifts.get(key)
+    hit = memo.get(key)
     if hit is None:
-        hit = shifts[key] = (coeffs, tuple(
+        hit = memo[key] = (coeffs, tuple(
             K.poly_shift(list(coeffs), to_float(offset))))
+    return hit[1]
+
+
+def _enclosed(x, memo: dict):
+    """The default witness's enclosures (`AlphaWitness.enclose`) of an exact
+    shift x, as (of x, of −x), or of each breakpoint of a PiecewisePoly x,
+    computed once and kept in `memo`, keyed by identity as in `_taylor`."""
+    hit = memo.get(id(x))
+    if hit is None:
+        enclose = default_witness().enclose
+        if x.__class__ is QAlpha:
+            e = enclose(x)
+            value = e, None if e is None else (-e[0], e[1])
+        else:
+            value = [enclose(b) for b in x.breakpoints]
+        hit = memo[id(x)] = (x, value)
     return hit[1]
 
 
@@ -333,8 +360,7 @@ class PiecewisePoly:
 
     # -- grid alignment --
     def _aligned(self, other: "PiecewisePoly", overlap: bool = False,
-                 shifts: dict | None = None, s: QAlpha | None = None,
-                 enclosures: tuple | None = None):
+                 s: QAlpha | None = None, memo: dict | None = None):
         """(grid, mine, theirs): both operands' breakpoints in order, and
         each one's local coefficients per grid interval (() off its support;
         with `overlap`, () for both wherever either is off its support).
@@ -345,24 +371,22 @@ class PiecewisePoly:
         equal breakpoint tuples and no shift need no walk: the grid is
         theirs and the pieces are the stored ones.
 
-        The walk orders its two heads with the witness's `order`: an
-        exactly equal pair enters the grid once; binary64 enclosures decide
-        a separated pair; only an undecided pair reaches certified
-        `compare`, which raises PrecisionInsufficientError on a near-tie.
-        `enclosures`, the caller's (self's, other's, s's) from `enclose`,
-        spares a caller that walks one operand many times the enclosing;
-        without it each breakpoint is enclosed once per call.  `shifts`, a
-        dict owned by the caller, shares Taylor shifts between walks (see
-        `_taylor`)."""
+        The walk orders its two heads with the witness's `order`: binary64
+        enclosures decide a separated pair; an exactly equal pair enters
+        the grid once; only an undecided pair reaches certified `compare`,
+        which raises PrecisionInsufficientError on a near-tie.  `memo`, a
+        dict that lives for one operation (one per call when not given),
+        keeps each operand's and s's enclosures and each Taylor shift, so a
+        caller that walks one coefficient against many others computes
+        them once (see `_enclosed` and `_taylor`)."""
         a, b = self.breakpoints, other.breakpoints
         if s is None and a == b:
             return list(a), list(self.pieces), list(other.pieces)
+        if memo is None:
+            memo = {}
+        ea, eb = _enclosed(self, memo), _enclosed(other, memo)
+        es = None if s is None else _enclosed(s, memo)[0]
         w = default_witness()
-        if enclosures is None:
-            enclose = w.enclose
-            enclosures = ([enclose(x) for x in a], [enclose(x) for x in b],
-                          None if s is None else enclose(s))
-        ea, eb, es = enclosures
         order, to_float = w.order, w.to_float
         pa, pb = self.pieces, other.pieces
         n, m = len(a), len(b)
@@ -394,11 +418,22 @@ class PiecewisePoly:
                 theirs.append(())
                 continue
             mine.append(() if not 0 < i < n else pa[i - 1] if sign <= 0
-                        else _taylor(pa[i - 1], x - start_a, to_float, shifts))
+                        else _taylor(pa[i - 1], x - start_a, to_float, memo))
             theirs.append(() if not 0 < j < m else pb[j - 1] if sign >= 0
-                          else _taylor(pb[j - 1], x - start_b, to_float,
-                                       shifts))
+                          else _taylor(pb[j - 1], x - start_b, to_float, memo))
         return grid, mine[:-1], theirs[:-1]
+
+    def _disjoint(self, other: "PiecewisePoly", s: QAlpha,
+                  memo: dict) -> bool:
+        """True when the enclosures prove the support of self(· + s),
+        [lo − s, hi − s], and that of other, [lo′, hi′], disjoint:
+        lo′ − (−s) − hi > 0 or lo − s − hi′ > 0 by `enclosed_sign`.  False
+        when they cannot decide.  Both operands have breakpoints; the
+        enclosures are `_aligned`'s, from the same `memo`."""
+        mine, theirs = _enclosed(self, memo), _enclosed(other, memo)
+        es, minus_es = _enclosed(s, memo)
+        return (enclosed_sign(theirs[0], minus_es, mine[-1]) > 0
+                or enclosed_sign(mine[0], es, theirs[-1]) > 0)
 
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         if not self.breakpoints or not other.breakpoints:
@@ -461,18 +496,17 @@ class PiecewisePoly:
         not u − v: the two differ in abs (NaN against inf) when v has a
         non-finite part, as products that overflow can have.  Where the
         pieces have equal lengths and every v is finite, abs(u − v) is that
-        same float and is taken directly.  The max is taken per interval,
-        so a NaN difference hides values of its own interval only."""
+        same float and is taken directly.  NaN when any difference is
+        NaN."""
         _, mine, theirs = self._aligned(other)
-        worst = 0.0
+        diffs = []
         for a, b in zip(mine, theirs):
             if len(a) == len(b) and all(map(cmath.isfinite, b)):
-                d = max(map(abs, map(operator.sub, a, b)), default=0.0)
+                diffs += map(operator.sub, a, b)
             else:
-                d = max((abs(u + v * -1.0) for u, v
-                         in zip_longest(a, b, fillvalue=0j)), default=0.0)
-            worst = max(worst, d)
-        return worst
+                diffs += (u + v * -1.0 for u, v
+                          in zip_longest(a, b, fillvalue=0j))
+        return _largest(map(abs, diffs))
 
     def allclose(self, other: "PiecewisePoly", tol: float) -> bool:
         return self.distance(other) <= tol

@@ -35,6 +35,7 @@ __all__ = [
     "qa",
     "parse_rational",
     "compare",
+    "enclosed_sign",
     "default_witness",
     "set_default_witness",
     "mat_identity",
@@ -414,34 +415,17 @@ class AlphaWitness:
 
     def order(self, x: QAlpha, y: QAlpha, ex, ey, s: Optional[QAlpha] = None,
               es=None) -> int:
-        """Sign of x − y, or with an exact shift `s` of x − s − y, from the
-        enclosures `ex`, `ey` and `es` (from `enclose`, or None) of x, y
-        and s.  Without a shift: 0 for equal values, else the sign of
-        vx − vy when the enclosures separate, else certified `compare`.
-        With one: the sign of vx − vs − vy when the three enclosures
-        separate (`enclose`'s rule for a sum of three), else 0 when x − s
-        equals y, else certified `compare`.  Either way `compare` raises
-        PrecisionInsufficientError on a near-tie, and the sign does not
-        depend on which stage gave it."""
-        if s is None:
-            if x == y:
-                return 0
-            if ex is not None and ey is not None:
-                gap = ex[0] - ey[0]
-                radius = ex[1] + ey[1]
-                if gap > radius:
-                    return 1
-                if -gap > radius:
-                    return -1
-            return self.compare(x, y)
-        if ex is not None and ey is not None and es is not None:
-            gap = ex[0] - es[0] - ey[0]
-            radius = ex[1] + es[1] + ey[1]
-            if gap > radius:
-                return 1
-            if -gap > radius:
-                return -1
-        x = x - s
+        """Sign of x − s − y, from the enclosures `ex`, `ey` and `es` (from
+        `enclose`, or None) of x, y and s; a missing shift is s = 0, enclosed
+        exactly as (0.0, 0.0).  The sign of the enclosures when they
+        separate (`enclosed_sign`), else 0 when x − s equals y, else
+        certified `compare`, which raises PrecisionInsufficientError on a
+        near-tie.  The sign does not depend on which stage gave it."""
+        sign = enclosed_sign(ex, _EXACT_ZERO if s is None else es, ey)
+        if sign:
+            return sign
+        if s is not None:
+            x = x - s
         return 0 if x == y else self.compare(x, y)
 
     def compare(self, x: QAlpha, y=None) -> int:
@@ -467,6 +451,22 @@ class AlphaWitness:
         return 1 if v > 0 else -1
 
 
+def enclosed_sign(ex, es, ey) -> int:
+    """Sign of x − s − y from the enclosures (v, r) of x, s and y (from
+    `AlphaWitness.enclose`) when they separate, |vx − vs − vy| > rx + rs +
+    ry (`enclose`'s rule for a sum of three), else 0; also 0 when an
+    enclosure is None."""
+    if ex is None or es is None or ey is None:
+        return 0
+    gap = ex[0] - es[0] - ey[0]
+    radius = ex[1] + es[1] + ey[1]
+    if gap > radius:
+        return 1
+    if -gap > radius:
+        return -1
+    return 0
+
+
 @functools.lru_cache(maxsize=16)
 def _decimal_context(prec: int) -> Context:
     return Context(prec=prec)
@@ -475,6 +475,8 @@ def _decimal_context(prec: int) -> Context:
 _DECIMAL_ONE = Decimal(1)
 _TWO_53 = 2 ** 53
 _FLOAT_ALPHA_MIN, _FLOAT_ALPHA_MAX = 2.0 ** -900, 2.0 ** 900
+# the enclosure of a shift of 0: v − 0.0 = v and r + 0.0 = r exactly
+_EXACT_ZERO = (0.0, 0.0)
 
 
 _DEFAULT_WITNESS: Optional[AlphaWitness] = None

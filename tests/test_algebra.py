@@ -138,6 +138,28 @@ class TestOverflowedProducts:
         extra = delta(CircleModel("full"), qa(0, 1), TrigPoly.one())
         assert math.isnan((a + extra).distance(b + extra.scale(3)))
 
+    @pytest.mark.parametrize("model", ["line", "circle"])
+    def test_a_nan_in_one_coefficient_is_not_hidden(self, model):
+        """a = 1e200·δ₀ against b = (1, 1e200) and c = (1, 2e200): the
+        products agree in their first coefficient and are inf − inf = NaN
+        apart in their second, and b ≠ c."""
+        if model == "line":
+            m = line_model()
+
+            def coeff(*c):
+                return PiecewisePoly((qa(0), qa(1)), (c,))
+        else:
+            m = CircleModel("full")
+
+            def coeff(*c):
+                return TrigPoly(tuple(enumerate(c)))
+        a, b, c = (delta(m, qa(0), coeff(*x))
+                   for x in ((1e200,), (1, 1e200), (1, 2e200)))
+        ((_, ab),), ((_, ac),) = (a * b).support, (a * c).support
+        assert math.isnan(ab.distance(ac)) and not ab.allclose(ac, 1e-9)
+        assert math.isnan((a * b).distance(a * c))
+        assert not (a * b).allclose(a * c, 1e-9)
+
     def test_overflow_is_silent_on_both_routes(self):
         f = self.products()[0]
         with warnings.catch_warnings():
@@ -316,6 +338,12 @@ class TestComplexMatrix:
     def test_sup_norm(self):
         a = ComplexMatrix(((3, -4j),))
         assert a.sup_norm() == 4.0
+
+    def test_sup_norm_keeps_a_nan_wherever_it_sits(self):
+        assert math.isnan(ComplexMatrix(((1.0, math.nan),)).sup_norm())
+        assert math.isnan(ComplexMatrix(((math.nan, 1.0),)).sup_norm())
+        assert math.isnan(ComplexMatrix(((2.0,), (complex(1, math.nan),))
+                                        ).sup_norm())
 
 
 class TestMatrixRepresentation:

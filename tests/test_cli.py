@@ -742,6 +742,38 @@ class TestNanDistancesFail:
         assert all(math.isnan(c["detail"]["max_distance"])
                    for c in report["checks"])
 
+    @staticmethod
+    def nan_on_call(monkeypatch, cls, name, n):
+        """cls.name returns NaN on its n-th call only."""
+        original, calls = getattr(cls, name), []
+
+        def patched(*args):
+            calls.append(None)
+            value = original(*args)
+            return math.nan if len(calls) == n else value
+
+        monkeypatch.setattr(cls, name, patched)
+
+    def test_repr_check_after_a_real_deviation(self, capsys, monkeypatch):
+        # the first deviation is real, the second NaN
+        self.nan_on_call(monkeypatch, ComplexMatrix, "sup_norm", 2)
+        code, report, _ = run_json(capsys, "repr", "--p", "2", "--pairs", "1",
+                                   "--z-samples", "2")
+        (check,) = [c for c in report["checks"]
+                    if c["name"] == "repr-multiplicative-p2"]
+        assert code == EXIT_FAIL and check["status"] == "fail"
+        assert math.isnan(check["detail"]["max_deviation"])
+
+    def test_power_relations_after_a_real_deviation(self, capsys, monkeypatch):
+        # the first distance is the relation residual, the rest the powers'
+        self.nan_on_call(monkeypatch, AlgebraElement, "distance", 3)
+        code, report, _ = run_json(capsys, "rotation", "--max-power", "2")
+        status = {c["name"]: c["status"] for c in report["checks"]}
+        assert code == EXIT_FAIL
+        assert status == {"lambda-matches-reference": "pass",
+                          "relation-residual": "pass",
+                          "power-relations": "fail"}
+
     def test_rational_circle_checks(self, capsys, monkeypatch):
         self.nan_first(monkeypatch, AlgebraElement, "distance", 1)
         self.nan_first(monkeypatch, ComplexMatrix, "sup_norm", 1)

@@ -76,14 +76,13 @@ def piece_bits(piece) -> tuple:
 def both_walks(f, g, s, overlap):
     """(shifted walk, walk of the shifted copy), each with and without the
     caller's enclosures and shift dict."""
-    enclose = default_witness().enclose
-    enclosures = ([enclose(x) for x in f.breakpoints],
-                  [enclose(x) for x in g.breakpoints], enclose(s))
+    memo = {}
+    walk_bits(lambda: f._aligned(g, overlap, s, memo))
     copy = f.shift_arg(s)
     got = [walk_bits(lambda: f._aligned(g, overlap, s=s)),
-           walk_bits(lambda: f._aligned(g, overlap, {}, s, enclosures))]
+           walk_bits(lambda: f._aligned(g, overlap, s, memo))]
     want = walk_bits(lambda: copy._aligned(g, overlap))
-    assert walk_bits(lambda: copy._aligned(g, overlap, {})) == want
+    assert walk_bits(lambda: copy._aligned(g, overlap, memo={})) == want
     return got, want
 
 
