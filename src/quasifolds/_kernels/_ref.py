@@ -49,10 +49,12 @@ def poly_shift(a, h):
     out = list(a)
     if h == 0 or n == 0:
         return [complex(c) for c in out]
-    # Horner-style synthetic shift, O(n²)
+    # Horner-style synthetic shift, O(n²); c carries out[j + 1], the value
+    # just stored (out[n − 1] never changes)
     for i in range(n - 1):
+        c = out[n - 1]
         for j in range(n - 2, i - 1, -1):
-            out[j] = out[j] + h * out[j + 1]
+            c = out[j] = out[j] + h * c
     return [complex(c) for c in out]
 
 

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernels import circle_convolve, poly_mul_rows
-from .coefficients import (PiecewisePoly, TrigPoly, _largest, _trimmed,
-                           dense_rows)
+from .coefficients import (PiecewisePoly, TrigPoly, _largest, _line_plan,
+                           _placed, dense_rows)
 from .errors import (MixedCoefficientKindError, QuasifoldError,
                      SupportEscapesSubgroupError)
 from .exact import AffineElement, QAlpha, Trit, default_witness, qa
@@ -92,33 +92,23 @@ class LineModel:
                 g: "AlgebraElement") -> "AlgebraElement":
         """Closed-form f·g, in three passes.
 
-        Plan: walk the key pairs (s outer, a inner), skip the pairs
-        `PiecewisePoly._disjoint` proves disjoint (their product is zero),
-        and align f_a(· + s) with g_s by the certified breakpoint walk of
-        f_a shifted by s (`PiecewisePoly._aligned`), which builds no shifted
-        copy.  One memo per call keeps every coefficient's and key's
-        enclosures and the Taylor shifts for all the walks.  Multiply: every
-        interval where both factors are live goes through one
-        `poly_mul_rows` call.  Sum: each pair's product is trimmed and added
-        into its key in plan order, as `PiecewisePoly.__mul__` and
-        `_add_term` would have done pair by pair, so the result is bitwise
-        that pair-by-pair sum.
+        Plan: `coefficients._line_plan` walks the key pairs (s outer,
+        a inner), skips those whose supports its enclosures prove
+        disjoint (their product is zero), and walks f_a(· + s) against g_s
+        over the overlap of their supports only (`coefficients._overlap`,
+        which builds no shifted copy), writing the two pieces of every live
+        interval straight into the kernel rows.  Multiply: all those rows
+        go through one `poly_mul_rows` call.  Sum: each pair's product is
+        placed on its grid, trimmed and added into its key in plan order,
+        as `PiecewisePoly.__mul__` and `_add_term` would have done pair by
+        pair, so the result is bitwise that pair-by-pair sum.
         """
-        memo, plan, lefts, rights = {}, [], [], []
-        for s, cs in g.support:
-            for a, ca in f.support:
-                if ca._disjoint(cs, s, memo):
-                    continue
-                grid, mine, theirs = ca._aligned(cs, True, s, memo)
-                live = [bool(u and v) for u, v in zip(mine, theirs)]
-                lefts += [u for u, ok in zip(mine, live) if ok]
-                rights += [v for v, ok in zip(theirs, live) if ok]
-                plan.append((a + s, grid, live))
+        lefts, rights = [], []
+        plan = _line_plan(f.support, g.support, lefts, rights)
         products = iter(poly_mul_rows(lefts, rights))
         out = {}
         for key, grid, live in plan:
-            pieces = [tuple(next(products)) if ok else () for ok in live]
-            _add_term(out, key, _trimmed(grid, pieces))
+            _add_term(out, key, _placed(grid, live, products))
         return _closed(self, out)
 
 

@@ -11,19 +11,23 @@ row holds the poly's full mode span, zeros included.
 PiecewisePoly: compactly supported piecewise polynomials on R with exact
 Q+Qα breakpoints.  Piece coefficients are stored in local coordinates
 u = x − (left breakpoint), which makes translation exact in both breakpoints
-and coefficients.  A sum, product or distance aligns its two operands with
-one ordered walk through both breakpoint tuples (`PiecewisePoly._aligned`),
-O(n + m) steps and no sort; operands with equal breakpoint tuples need no
-walk.  The walk orders two breakpoints by the witness's binary64
-enclosures (`enclosed_sign`), else by exact equality, else by certified
-`compare` (`AlphaWitness.order`), and Taylor-shifts a piece to a grid point
-by the witness's float of the exact offset.  It can also walk its left
-operand shifted by an exact s, with no shifted copy, and keep enclosures
-and Taylor shifts in a memo its caller passes on: a line product walks each
-coefficient against many others, and first asks `_disjoint`, by the same
-enclosures, whether a pair's supports are apart.  A product asks for local
-coefficients only where both factors are live.  Distances are NaN when a
-coefficient difference is NaN (`_largest`).
+and coefficients.  A sum or distance aligns its two operands with one
+ordered walk through both breakpoint tuples (`PiecewisePoly._aligned`),
+O(n + m) steps and no sort; a product walks only the overlap of the two
+supports (`_overlap`), stops as soon as either operand ends, and yields
+just the pairs of pieces to multiply.  Operands with equal breakpoint
+tuples need no walk.  Both walks order two breakpoints by the witness's
+binary64 enclosures (`enclosed_sign`), else by exact equality, else by
+certified `compare` (`AlphaWitness.order`), and Taylor-shift a piece to a
+grid point by the witness's float of the exact offset, kept once per
+offset.  Both can walk the left operand shifted by an exact s, with no
+shifted copy, and keep Taylor shifts in a memo that lives for one
+operation.  A line product Σ f_a(· + s)·g_s is planned here
+(`_line_plan`): it fetches each coefficient's enclosures once, skips by
+the same `enclosed_sign` rule the key pairs whose supports are apart, and
+writes every live pair of pieces straight into the rows of the batched
+product kernel.  Distances are NaN when a coefficient difference is NaN
+(`_largest`).
 """
 
 from __future__ import annotations
@@ -253,15 +257,17 @@ def _largest(values) -> float:
 def _taylor(coeffs: tuple, offset: QAlpha, to_float, memo: dict) -> tuple:
     """The piece `coeffs` Taylor-shifted by the exact, nonzero `offset`,
     through the witness's float of it (`to_float`), computed once per
-    (piece, offset) and kept in `memo`.  The piece is keyed by identity,
-    since pieces that differ only in the sign of a zero compare equal but
-    shift to different bits; the entry holds the piece, so its id is not
-    reused while the memo lives."""
+    (piece, offset) and kept in `memo`, as is the float of each offset.
+    The piece is keyed by identity, since pieces that differ only in the
+    sign of a zero compare equal but shift to different bits; the entry
+    holds the piece, so its id is not reused while the memo lives."""
     key = (id(coeffs), offset)
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = (coeffs, tuple(
-            K.poly_shift(list(coeffs), to_float(offset))))
+        h = memo.get(offset)
+        if h is None:
+            h = memo[offset] = to_float(offset)
+        hit = memo[key] = (coeffs, tuple(K.poly_shift(list(coeffs), h)))
     return hit[1]
 
 
@@ -279,6 +285,87 @@ def _enclosed(x, memo: dict):
             value = [enclose(b) for b in x.breakpoints]
         hit = memo[id(x)] = (x, value)
     return hit[1]
+
+
+def _overlap(f, ef, g, eg, s, es, memo: dict, lefts: list,
+             rights: list) -> tuple:
+    """(grid, live): the walk of f(· + s) against g over the overlap of
+    their supports only.  `grid` holds the walk's points from the first
+    where both have started to the first where either ends, and `live[k]`
+    tells whether both pieces on [grid[k], grid[k+1]] are nonempty; for
+    each live interval, in order, f's piece is appended to `lefts` and g's
+    to `rights`, as local coefficients at grid[k].
+
+    `ef`, `eg` and `es` are the enclosures of f's and g's breakpoints and
+    of s (`_enclosed`); with s None, f is read unshifted and es is unused.
+    The heads are ordered as in `PiecewisePoly._aligned`, so the grid is
+    that walk's grid cut to the overlap, with the same exceptions, and a
+    piece that started before a grid point is Taylor-shifted to it only
+    where the interval is live (`_taylor`, with `memo`).  No enclosure is
+    computed here: a caller that walks one coefficient against many
+    fetches each list once."""
+    a, b = f.breakpoints, g.breakpoints
+    pa, pb = f.pieces, g.pieces
+    w = default_witness()
+    order, to_float = w.order, w.to_float
+    n, m = len(a), len(b)
+    i = j = 0
+    grid, live = [], []
+    while i < n and j < m:
+        sign = order(a[i], b[j], ef[i], eg[j], s, es)
+        # x enters the walk (a tie as g's breakpoint, which needs no
+        # subtraction); a piece that starts there is read as stored, one
+        # that started before is Taylor-shifted to x
+        if sign >= 0:
+            x = start_b = b[j]
+            j += 1
+        else:
+            x = a[i] if s is None else a[i] - s
+        if sign <= 0:
+            start_a = x
+            i += 1
+        if not (i and j):
+            continue
+        grid.append(x)
+        if i == n or j == m:
+            break
+        u, v = pa[i - 1], pb[j - 1]
+        if u and v:
+            lefts.append(u if sign <= 0
+                         else _taylor(u, x - start_a, to_float, memo))
+            rights.append(v if sign >= 0
+                          else _taylor(v, x - start_b, to_float, memo))
+            live.append(True)
+        else:
+            live.append(False)
+    return grid, live
+
+
+def _line_plan(f_support: tuple, g_support: tuple, lefts: list,
+               rights: list) -> list:
+    """[(a + s, grid, live)] over the key pairs (s outer, a inner) of the
+    line product Σ f_a(· + s)·g_s: each pair's `_overlap` walk, which
+    appends its live pieces to `lefts` and `rights`.
+
+    A pair is skipped, its product being zero, when `enclosed_sign` proves
+    the support of f_a(· + s), [lo − s, hi − s], and that of g_s,
+    [lo′, hi′], disjoint: lo′ − (−s) − hi > 0 or lo − s − hi′ > 0.  One
+    memo per call keeps the enclosures and the Taylor shifts; each f_a's
+    enclosure list is fetched once per call, and each (s, g_s)'s once per
+    outer step."""
+    memo, plan = {}, []
+    fs = [(a, ca, _enclosed(ca, memo)) for a, ca in f_support]
+    for s, cs in g_support:
+        es, minus_es = _enclosed(s, memo)
+        eg = _enclosed(cs, memo)
+        lo, hi = eg[0], eg[-1]
+        for a, ca, ef in fs:
+            if (enclosed_sign(lo, minus_es, ef[-1]) > 0
+                    or enclosed_sign(ef[0], es, hi) > 0):
+                continue
+            grid, live = _overlap(ca, ef, cs, eg, s, es, memo, lefts, rights)
+            plan.append((a + s, grid, live))
+    return plan
 
 
 @dataclass(frozen=True)
@@ -359,11 +446,12 @@ class PiecewisePoly:
                           tuple(tuple(x.conjugate() for x in p) for p in self.pieces))
 
     # -- grid alignment --
-    def _aligned(self, other: "PiecewisePoly", overlap: bool = False,
-                 s: QAlpha | None = None, memo: dict | None = None):
+    def _aligned(self, other: "PiecewisePoly", s: QAlpha | None = None,
+                 memo: dict | None = None):
         """(grid, mine, theirs): both operands' breakpoints in order, and
-        each one's local coefficients per grid interval (() off its support;
-        with `overlap`, () for both wherever either is off its support).
+        each one's local coefficients per grid interval (() off its
+        support), for `+` and `distance`; a product walks only the overlap
+        (`_overlap`).
 
         With an exact shift `s`, the left operand is self(· + s): its
         breakpoints read b − s and its pieces are self's, as for
@@ -376,9 +464,8 @@ class PiecewisePoly:
         the grid once; only an undecided pair reaches certified `compare`,
         which raises PrecisionInsufficientError on a near-tie.  `memo`, a
         dict that lives for one operation (one per call when not given),
-        keeps each operand's and s's enclosures and each Taylor shift, so a
-        caller that walks one coefficient against many others computes
-        them once (see `_enclosed` and `_taylor`)."""
+        keeps each operand's and s's enclosures and each Taylor shift (see
+        `_enclosed` and `_taylor`)."""
         a, b = self.breakpoints, other.breakpoints
         if s is None and a == b:
             return list(a), list(self.pieces), list(other.pieces)
@@ -413,27 +500,11 @@ class PiecewisePoly:
                 j += 1
                 start_b = x
             grid.append(x)
-            if overlap and not (0 < i < n and 0 < j < m):
-                mine.append(())
-                theirs.append(())
-                continue
             mine.append(() if not 0 < i < n else pa[i - 1] if sign <= 0
                         else _taylor(pa[i - 1], x - start_a, to_float, memo))
             theirs.append(() if not 0 < j < m else pb[j - 1] if sign >= 0
                           else _taylor(pb[j - 1], x - start_b, to_float, memo))
         return grid, mine[:-1], theirs[:-1]
-
-    def _disjoint(self, other: "PiecewisePoly", s: QAlpha,
-                  memo: dict) -> bool:
-        """True when the enclosures prove the support of self(· + s),
-        [lo − s, hi − s], and that of other, [lo′, hi′], disjoint:
-        lo′ − (−s) − hi > 0 or lo − s − hi′ > 0 by `enclosed_sign`.  False
-        when they cannot decide.  Both operands have breakpoints; the
-        enclosures are `_aligned`'s, from the same `memo`."""
-        mine, theirs = _enclosed(self, memo), _enclosed(other, memo)
-        es, minus_es = _enclosed(s, memo)
-        return (enclosed_sign(theirs[0], minus_es, mine[-1]) > 0
-                or enclosed_sign(mine[0], es, theirs[-1]) > 0)
 
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         if not self.breakpoints or not other.breakpoints:
@@ -443,9 +514,19 @@ class PiecewisePoly:
                                for a, b in zip(mine, theirs)])
 
     def __mul__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        grid, mine, theirs = self._aligned(other, overlap=True)
-        return _trimmed(grid, [tuple(K.poly_mul(list(a), list(b)))
-                               if a and b else () for a, b in zip(mine, theirs)])
+        """Pointwise product, on the overlap of the supports: operands with
+        equal breakpoint tuples multiply their stored pieces, others go
+        through the overlap walk (`_overlap`)."""
+        if self.breakpoints == other.breakpoints:
+            return _trimmed(self.breakpoints, [
+                tuple(K.poly_mul(list(a), list(b))) if a and b else ()
+                for a, b in zip(self.pieces, other.pieces)])
+        memo, lefts, rights = {}, [], []
+        grid, live = _overlap(self, _enclosed(self, memo), other,
+                              _enclosed(other, memo), None, None, memo,
+                              lefts, rights)
+        return _placed(grid, live, map(K.poly_mul, map(list, lefts),
+                                       map(list, rights)))
 
     # -- numerics --
     def eval(self, x: float) -> complex:
@@ -544,6 +625,14 @@ def _trimmed(breaks: list, pieces: list) -> PiecewisePoly:
         return PiecewisePoly()
     lo, hi = nonzero[0], nonzero[-1] + 1
     return _piecewise(tuple(breaks[lo:hi + 1]), tuple(pieces[lo:hi]))
+
+
+def _placed(grid: list, live: list, products) -> PiecewisePoly:
+    """PiecewisePoly on an overlap walk's `grid`: each interval that `live`
+    marks takes the next of `products`, in order, and any other the empty
+    piece; zero end pieces are cut off (`_trimmed`)."""
+    return _trimmed(grid, [tuple(next(products)) if ok else ()
+                           for ok in live])
 
 
 def _piecewise(breakpoints: tuple, pieces: tuple) -> PiecewisePoly:

@@ -3,11 +3,12 @@
 `exact.enclosed_sign` is the one place that turns binary64 enclosures into
 an order: the sign of x − s − y when the three enclosures separate, else 0.
 `AlphaWitness.order` reads a missing shift as s = 0 enclosed as (0.0, 0.0),
-and `PiecewisePoly._disjoint`, the line product's skip, asks the same rule
-twice.  The first tests check both against copies of the code they replace,
-as it stood, and check that the skip is sound: whenever it calls two
-supports apart, certified `compare` under √2 − 1 at 80 digits orders them
-apart, shifts with no enclosure and Fibonacci near-tie shifts included.
+and the line product's plan (`coefficients._line_plan`) asks the same rule
+twice to skip a key pair whose supports are apart.  The first tests check
+both against copies of the code they replace, as it stood, and check that
+the skip is sound: whenever it calls two supports apart, certified
+`compare` under √2 − 1 at 80 digits orders them apart, shifts with no
+enclosure and Fibonacci near-tie shifts included.
 The last tests keep the rule in one module: `algebra.py` encloses nothing,
 and no module but `exact.py` adds up enclosure values or radii.
 """
@@ -21,7 +22,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import quasifolds
-from quasifolds.coefficients import PiecewisePoly
+from quasifolds.coefficients import PiecewisePoly, _line_plan
 from quasifolds.errors import PrecisionInsufficientError
 from quasifolds.exact import (AlphaWitness, default_witness, enclosed_sign,
                               qa, set_default_witness)
@@ -110,11 +111,24 @@ def test_a_missing_shift_is_an_exact_zero():
 
 
 # ---------------------------------------------------------------------------
-# the disjointness skip
+# the disjointness skip of the line plan
 # ---------------------------------------------------------------------------
 
 def piece(ends) -> PiecewisePoly:
     return PiecewisePoly(tuple(map(qa, ends)), ((1.0,),))
+
+
+def skipped(f, g, s) -> bool:
+    """Whether the line plan of (f·δ_0)·(g·δ_s) skips its one key pair: it
+    plans no pair and appends no row.  A pair that is not skipped is
+    walked, and the walk may raise on a near-tie."""
+    lefts, rights = [], []
+    try:
+        plan = _line_plan(((qa(0), f),), ((s, g),), lefts, rights)
+    except PrecisionInsufficientError:
+        return False
+    assert plan or not lefts + rights
+    return not plan
 
 
 def certified_apart(f, g, s) -> bool:
@@ -135,9 +149,7 @@ def test_disjoint_supports_are_certified_apart(data):
     f, g = data.draw(piecewise()), data.draw(piecewise())
     assume(f.breakpoints and g.breakpoints)
     s = data.draw(shifts)
-    memo = {}
-    apart = f._disjoint(g, s, memo)
-    assert f._disjoint(g, s, memo) is apart  # from the kept enclosures
+    apart = skipped(f, g, s)
     if apart:
         assert certified_apart(f, g, s)
     if old_apart(f, g, s):
@@ -146,12 +158,22 @@ def test_disjoint_supports_are_certified_apart(data):
 
 def test_disjoint_is_decided_and_refused():
     f = piece((0, 1))
-    memo = {}
-    assert f._disjoint(piece((5, 6)), qa(0), memo)
-    assert f._disjoint(piece((-6, -5)), qa(0), memo)
-    assert f._disjoint(piece((0, 1)), qa(3), memo)
-    assert not f._disjoint(piece((1, 2)), qa(0), memo)  # they touch
-    assert not f._disjoint(piece((0, 1)), qa(Fraction(1, 2)), memo)
+    assert skipped(f, piece((5, 6)), qa(0))
+    assert skipped(f, piece((-6, -5)), qa(0))
+    assert skipped(f, piece((0, 1)), qa(3))
+    assert not skipped(f, piece((1, 2)), qa(0))  # they touch
+    assert not skipped(f, piece((0, 1)), qa(Fraction(1, 2)))
+
+
+def test_skip_reads_each_pair_on_its_own():
+    """In a plan over several keys, exactly the pairs skipped on their own
+    are skipped, in (s outer, a inner) order."""
+    fs = [(qa(0), piece((0, 1))), (qa(1), piece((5, 6)))]
+    gs = [(qa(0), piece((0, 1))), (qa(4), piece((1, 2))),
+          (qa(0, 1), piece((10, 11)))]
+    keys = [a + s for s, g in gs for a, f in fs if not skipped(f, g, s)]
+    assert keys == [qa(0), qa(5)]
+    assert [key for key, _, _ in _line_plan(fs, gs, [], [])] == keys
 
 
 def test_shifts_without_enclosures_are_never_apart():
@@ -159,7 +181,7 @@ def test_shifts_without_enclosures_are_never_apart():
     g = piece((5, 6))
     for s in (qa(TWO_53), qa(-TWO_53 - 1), qa(1, TWO_53)):
         assert W.enclose(s) is None
-        assert not f._disjoint(g, s, {})
+        assert not skipped(f, g, s)
         assert certified_apart(f, g, s)
 
 
@@ -170,7 +192,7 @@ def test_near_tie_shifts_are_not_apart(k):
     f = piece((0, 1))
     g = piece((1 - k, 2 - k))
     for s in (qa(k) - NEAR_TIE, qa(k) + NEAR_TIE):
-        assert not f._disjoint(g, s, {})
+        assert not skipped(f, g, s)
     set_default_witness(AlphaWitness.golden(digits=130))
     assert certified_apart(f, g, qa(k) - NEAR_TIE)
     assert not certified_apart(f, g, qa(k) + NEAR_TIE)

@@ -1,10 +1,13 @@
 """The coefficient kernels agree with numpy on random inputs, including empty
 and length-1 lists, and `quasifolds._kernels` re-exports the `_ref` functions
 (qfbench wraps those names to count kernel calls).  The line product's
-batched kernel is bitwise the per-row `_ref.poly_mul`."""
+batched kernel is bitwise the per-row `_ref.poly_mul`, and `poly_shift` is
+bitwise its earlier double loop, inf and NaN parts included."""
 
 import itertools
+import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -227,3 +230,53 @@ class TestBatchedLineProducts:
 
     def test_empty_batch(self):
         assert _kernels.poly_mul_rows([], []) == []
+
+
+def old_poly_shift(a, h):
+    """`_ref.poly_shift` as it stood: each step reads out[j + 1] back."""
+    n = len(a)
+    out = list(a)
+    if h == 0 or n == 0:
+        return [complex(c) for c in out]
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            out[j] = out[j] + h * out[j + 1]
+    return [complex(c) for c in out]
+
+
+def bits(row):
+    """Each coefficient's parts as packed doubles: NaN signs and payloads
+    and signed zeros count."""
+    return [struct.pack("<dd", c.real, c.imag) for c in row]
+
+
+SPECIAL_PARTS = (0.0, -0.0, 1.0, -2.5, 1e-300, -5e-324, 1e308, -1e308,
+                 math.inf, -math.inf, math.nan, -math.nan)
+
+
+class TestPolyShiftIsTheDoubleLoop:
+    """`_ref.poly_shift` carries the value it just stored instead of
+    reading it back: the same float operations, so the same bits, with the
+    shift h a float (mixed float-complex arithmetic, whose rules for inf
+    and NaN parts differ between complex(h)·c and h·c on some Pythons)."""
+
+    @pytest.mark.parametrize("h", [-1e-300, 5e-324, 1e300, 0.37, -0.0])
+    def test_special_parts(self, h):
+        rng = random.Random(f"shift:{h!r}")
+        for _ in range(400):
+            a = [complex(rng.choice(SPECIAL_PARTS), rng.choice(SPECIAL_PARTS))
+                 for _ in range(rng.randint(0, 6))]
+            assert bits(_ref.poly_shift(a, h)) == bits(old_poly_shift(a, h))
+
+    @pytest.mark.parametrize("h", [-1e-300, 5e-324, 1e300])
+    def test_every_pair_of_special_parts(self, h):
+        for re, im, re2, im2 in itertools.product(SPECIAL_PARTS, repeat=4):
+            a = [complex(re, im), complex(re2, im2), complex(im, re2)]
+            assert bits(_ref.poly_shift(a, h)) == bits(old_poly_shift(a, h))
+
+    def test_random_degree_eight(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            a = rand_poly(rng, rng.randint(1, 9))
+            h = rng.uniform(-3, 3)
+            assert bits(_ref.poly_shift(a, h)) == bits(old_poly_shift(a, h))

@@ -185,6 +185,27 @@ def test_breakpoints_without_a_float_enclosure():
     assert_bitwise(g, f)
 
 
+def test_interior_empty_piece_against_the_other_factor():
+    # f_0 = (p, (), q) on [0, 3] has an empty piece on [1, 2]; f_0(· + 1)
+    # and f_0(· + α) carry that gap into the middle of g_1's and g_α's
+    # pieces, so the products have an empty interior piece too
+    f = element([(qa(0), (qa(0), qa(1), qa(2), qa(3)),
+                  [(1.0, 0.5j), (), (2.0, -1.0)])])
+    g = element([(qa(1), (qa(Fraction(-1, 2)), qa(Fraction(3, 2))),
+                  [(1j, 1.0, 0.5)]),
+                 (qa(0, 1), (qa(0), qa(2, -1), qa(3)),
+                  [(0.25, 1j), (-1.0, 0.5, 2j)])])
+    for x, y in ((f, g), (g, f)):
+        want = per_pair(x, y)
+        assert packed(convolve_general(x, y)) == want
+        assert_bitwise(x, y)
+        assert any(p == () for _, _, pieces in want for p in pieces)
+    c = convolve_closed_form(f, g).coeff(qa(1))
+    assert c.breakpoints == (qa(Fraction(-1, 2)), qa(0), qa(1),
+                             qa(Fraction(3, 2)))
+    assert c.pieces[1] == ()
+
+
 # ---------------------------------------------------------------------------
 # random elements, under the golden witness and under √2 − 1
 # ---------------------------------------------------------------------------
@@ -198,10 +219,13 @@ points = st.builds(qa, st.fractions(min_value=-3, max_value=3,
 
 @st.composite
 def coefficients(draw):
+    """Pieces on 2 to 4 sorted points; an interior piece may be empty."""
     bps = sorted(draw(st.sets(points, min_size=2, max_size=4)),
                  key=lambda x: default_witness().evaluate(x))
+    n = len(bps) - 1
     return PiecewisePoly(tuple(bps), tuple(
-        draw(pieces) for _ in range(len(bps) - 1)))
+        draw(st.one_of(st.just(()), pieces) if 0 < k < n - 1 else pieces)
+        for k in range(n)))
 
 
 @st.composite

@@ -1,15 +1,19 @@
-"""The shifted walk and the equal-grid shortcut of `PiecewisePoly._aligned`.
+"""The shifted walks and the equal-grid shortcuts of `PiecewisePoly`.
 
-A line product aligns f_a(· + s) with g_s by walking f_a's own breakpoints
-with the exact shift s (`_aligned(..., s=s)`), with enclosures computed once
-per product, instead of building `f_a.shift_arg(s)` and walking that.  The
-first tests compare the two walks: the same grid values, the same live
-intervals, the same coefficient bits, and the same exception, under the
-golden witness and √2 − 1 at 80 digits, on breakpoints and shifts with no
-binary64 enclosure (|a| ≥ 2⁵³ or d ≥ 2⁵³) and on Fibonacci near-tie shifts.
-The last tests check that operands with equal breakpoint tuples, which skip
-the walk, give the bits of the sort-based oracle for `+`, `*` and
-`distance`.
+A line product walks f_a(· + s) against g_s over the overlap of their
+supports only (`coefficients._overlap`), reading f_a's own breakpoints
+with the exact shift s and enclosures fetched once per product, instead
+of building `f_a.shift_arg(s)` and walking that; `+` and `distance` walk
+the union of the breakpoints (`PiecewisePoly._aligned`), which takes the
+same shift.  The first tests compare each shifted walk with the walk of
+the shifted copy: the same grid values, the same live intervals, the same
+coefficient bits, and the same exception, with and without a memo warmed
+by an earlier walk, under the golden witness and √2 − 1 at 80 digits, on
+breakpoints and shifts with no binary64 enclosure (|a| ≥ 2⁵³ or d ≥ 2⁵³)
+and on Fibonacci near-tie shifts.  The overlap walk is also the union walk
+cut to the overlap.  The last tests check that operands with equal
+breakpoint tuples, which skip the walk, give the bits of the sort-based
+oracle for `+`, `*` and `distance`.
 """
 
 from fractions import Fraction
@@ -18,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasifolds.coefficients import PiecewisePoly
+from quasifolds.coefficients import PiecewisePoly, _enclosed, _overlap
 from quasifolds.errors import PrecisionInsufficientError
 from quasifolds.exact import (AlphaWitness, default_witness, qa,
                               set_default_witness)
@@ -73,17 +77,67 @@ def piece_bits(piece) -> tuple:
     return tuple((c.real.hex(), c.imag.hex()) for c in piece)
 
 
-def both_walks(f, g, s, overlap):
-    """(shifted walk, walk of the shifted copy), each with and without the
-    caller's enclosures and shift dict."""
+def both_walks(f, g, s):
+    """(shifted union walk, union walk of the shifted copy), each with and
+    without the caller's enclosures and shift dict."""
     memo = {}
-    walk_bits(lambda: f._aligned(g, overlap, s, memo))
+    walk_bits(lambda: f._aligned(g, s, memo))
     copy = f.shift_arg(s)
-    got = [walk_bits(lambda: f._aligned(g, overlap, s=s)),
-           walk_bits(lambda: f._aligned(g, overlap, s, memo))]
-    want = walk_bits(lambda: copy._aligned(g, overlap))
-    assert walk_bits(lambda: copy._aligned(g, overlap, memo={})) == want
+    got = [walk_bits(lambda: f._aligned(g, s=s)),
+           walk_bits(lambda: f._aligned(g, s, memo))]
+    want = walk_bits(lambda: copy._aligned(g))
+    assert walk_bits(lambda: copy._aligned(g, memo={})) == want
     return got, want
+
+
+def overlap_bits(f, g, s=None, memo=None):
+    """The grid, the live flags and the bits of the rows appended, of the
+    overlap walk of f(· + s) against g, or the exception it raised; the
+    enclosures are fetched from `memo` (a fresh one when not given)."""
+    memo = {} if memo is None else memo
+    ef, eg = _enclosed(f, memo), _enclosed(g, memo)
+    es = None if s is None else _enclosed(s, memo)[0]
+    lefts, rights = [], []
+    try:
+        grid, live = _overlap(f, ef, g, eg, s, es, memo, lefts, rights)
+    except PrecisionInsufficientError:
+        return "raises"
+    assert len(grid) == len(live) + 1 or grid == live == []
+    assert len(lefts) == len(rights) == sum(live)
+    return (grid, live, [piece_bits(p) for p in lefts],
+            [piece_bits(p) for p in rights])
+
+
+def both_overlaps(f, g, s):
+    """(shifted overlap walk, overlap walk of the shifted copy), each with
+    and without a memo warmed by a first shifted walk; the copy shares f's
+    pieces, so it also hits that memo's Taylor shifts."""
+    memo = {}
+    overlap_bits(f, g, s, memo)
+    copy = f.shift_arg(s)
+    got = [overlap_bits(f, g, s), overlap_bits(f, g, s, memo)]
+    want = overlap_bits(copy, g)
+    assert overlap_bits(copy, g, None, memo) == want
+    return got, want
+
+
+def union_cut(f, g, s):
+    """The overlap walk as read off the shifted union walk: its grid from
+    the later start to the earlier end, live where both pieces there are
+    nonempty, and those pieces."""
+    try:
+        grid, mine, theirs = f._aligned(g, s)
+    except PrecisionInsufficientError:
+        return "raises"
+    if not f.breakpoints or not g.breakpoints:
+        return [], [], [], []
+    lo = max(grid.index(f.breakpoints[0] - s), grid.index(g.breakpoints[0]))
+    hi = min(grid.index(f.breakpoints[-1] - s),
+             grid.index(g.breakpoints[-1]))
+    live = [bool(mine[k] and theirs[k]) for k in range(lo, hi)]
+    rows = [k for k, ok in zip(range(lo, hi), live) if ok]
+    return (grid[lo:hi + 1], live, [piece_bits(mine[k]) for k in rows],
+            [piece_bits(theirs[k]) for k in rows])
 
 
 WITNESSES = pytest.mark.parametrize("witness", [W, SQRT2_80],
@@ -97,9 +151,20 @@ def test_shifted_walk_is_the_walk_of_the_shifted_copy(witness, data):
     set_default_witness(witness)
     f, g = data.draw(piecewise()), data.draw(piecewise())
     s = data.draw(shifts)
-    overlap = data.draw(st.booleans())
-    got, want = both_walks(f, g, s, overlap)
+    got, want = both_walks(f, g, s)
     assert got == [want, want]
+
+
+@WITNESSES
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_shifted_overlap_is_the_overlap_of_the_shifted_copy(witness, data):
+    set_default_witness(witness)
+    f, g = data.draw(piecewise()), data.draw(piecewise())
+    s = data.draw(shifts)
+    got, want = both_overlaps(f, g, s)
+    assert got == [want, want]
+    assert want == union_cut(f, g, s)
 
 
 @pytest.mark.parametrize("k", range(-1, 3))
@@ -110,13 +175,14 @@ def test_near_tie_shift_raises_as_the_copy_does(k):
     f = PiecewisePoly((qa(0), qa(1), qa(2)), ((1.0, 0.5j), (2.0,)))
     g = PiecewisePoly((qa(-k), qa(1 - k)), ((3.0, -1.0),))
     s = qa(k) - NEAR_TIE
-    for overlap in (False, True):
-        got, want = both_walks(f, g, s, overlap)
+    for both in (both_walks, both_overlaps):
+        got, want = both(f, g, s)
         assert want == "raises" and got == [want, want]
     set_default_witness(AlphaWitness.golden(digits=130))
-    for overlap in (False, True):
-        got, want = both_walks(f, g, s, overlap)
+    for both in (both_walks, both_overlaps):
+        got, want = both(f, g, s)
         assert want != "raises" and got == [want, want]
+    assert both_overlaps(f, g, s)[1] == union_cut(f, g, s)
 
 
 def test_breakpoints_and_shift_without_enclosures():
@@ -126,10 +192,38 @@ def test_breakpoints_and_shift_without_enclosures():
                       ((1j,), (1.0, -1.0)))
     s = qa(TWO_53 + 1)  # f(· + s) lives on [−1, 2], breaking at 0 and 2 as g
     assert W.enclose(f.breakpoints[0]) is None and W.enclose(s) is None
-    for overlap in (False, True):
-        got, want = both_walks(f, g, s, overlap)
-        assert want != "raises" and got == [want, want]
-        assert want[0] == [qa(-1), qa(0), g.breakpoints[1], qa(2)]
+    got, want = both_walks(f, g, s)
+    assert want != "raises" and got == [want, want]
+    assert want[0] == [qa(-1), qa(0), g.breakpoints[1], qa(2)]
+    got, want = both_overlaps(f, g, s)
+    assert want != "raises" and got == [want, want]
+    assert want[:2] == ([qa(0), g.breakpoints[1], qa(2)], [True, True])
+    assert want == union_cut(f, g, s)
+
+
+def test_overlap_stops_where_an_operand_ends():
+    """Touching supports give one grid point and no live interval, apart
+    ones none; an interior empty piece is never live, and its partner is
+    not shifted to it."""
+    f = PiecewisePoly((qa(0), qa(1), qa(2), qa(3)), ((1.0,), (), (2.0, 1j)))
+    touching = PiecewisePoly((qa(3), qa(4)), ((1.0,),))
+    apart = PiecewisePoly((qa(5), qa(6)), ((1.0,),))
+    assert overlap_bits(f, touching) == ([qa(3)], [], [], [])
+    assert overlap_bits(touching, f) == ([qa(3)], [], [], [])
+    assert overlap_bits(f, touching, qa(1)) == ([], [], [], [])
+    assert overlap_bits(f, apart) == overlap_bits(apart, f) == ([], [], [], [])
+    half = qa(Fraction(1, 2))
+    g = PiecewisePoly((half, qa(Fraction(5, 2))), ((1j, 1.0),))
+    memo = {}
+    grid, live, lefts, rights = overlap_bits(f, g, None, memo)
+    assert grid == [half, qa(1), qa(2), qa(Fraction(5, 2))]
+    assert live == [True, False, True]
+    assert rights[0] == piece_bits(g.pieces[0])
+    # g's piece is shifted to 2 only, not to 1, where f's piece is empty
+    g_shifts = [key[1] for key in memo
+                if isinstance(key, tuple) and key[0] == id(g.pieces[0])]
+    assert g_shifts == [qa(Fraction(3, 2))]
+    assert (grid, live, lefts, rights) == union_cut(f, g, qa(0))
 
 
 @settings(max_examples=200, deadline=None)
