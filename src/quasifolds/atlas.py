@@ -518,7 +518,8 @@ def _overlap_box(src: Chart, dst: Chart, m: AffineElement):
     box = []
     for i in range(src.dimension):
         s, b = m.a[i][i], m.b[i]
-        pre = [None if e is None else (e - b).scale(1 / s)
+        inv = Fraction(1, s)
+        pre = [None if e is None else (e - b).scale(inv)
                for e in _ends(dst.domain, i)]
         if s < 0:
             pre.reverse()

@@ -415,7 +415,7 @@ class PiecewisePoly:
 
     @property
     def is_zero(self) -> bool:
-        return all(all(c == 0 for c in p) for p in self.pieces)
+        return not any(map(any, self.pieces))
 
     def support(self):
         if not self.breakpoints:

@@ -517,15 +517,28 @@ class Trit(Enum):
 # exact linear algebra over Q (tiny dimensions)
 # ---------------------------------------------------------------------------
 
-Matrix = tuple  # tuple[tuple[Fraction, ...], ...]
+# tuple[tuple[int | Fraction, ...], ...]; a frozen matrix holds each entry in
+# the form `_entry` gives it
+Matrix = tuple
+
+
+def _entry(x):
+    """The canonical form of a rational entry: an int when x is integral,
+    else a Fraction with denominator > 1.  Both forms of one value compare,
+    hash and print alike; the int form keeps that work in C."""
+    if x.__class__ is int:
+        return x
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _freeze_matrix(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(_entry(x) for x in row) for row in rows)
 
 
 def mat_identity(n: int) -> Matrix:
-    return tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -533,7 +546,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != k:
         raise DimensionMismatchError("matrix product shape mismatch")
     return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), _ZERO) for j in range(m))
+        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
         for i in range(n)
     )
 
@@ -639,9 +652,12 @@ def solve_linear(a: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
 class AffineElement:
     """Affine map on R^n: rational invertible linear part, Q+Qα translation.
 
-    The public constructor validates shape and invertibility.  `compose` and
-    `invert` build their results with `_affine`, which skips both checks: a
-    product or inverse of valid elements is valid.  Equality and the hash
+    Each entry of the linear part is in `_entry`'s form: an int when it is
+    integral, else a Fraction with denominator > 1, so a translation's
+    linear part is a matrix of 0/1 ints.  The public constructor brings the
+    entries to that form and validates shape and invertibility.  `compose`
+    and `invert` build their results with `_affine`, which skips the checks:
+    a product or inverse of valid elements is valid.  Equality and the hash
     generated by the dataclass are those of the pair (a, b).
     """
 
@@ -686,19 +702,19 @@ class AffineElement:
             s, t = self.a[0][0], other.a[0][0]
             if s == 1:
                 return _affine(other.a, (other.b[0] + self.b[0],))
-            a = self.a if t == 1 else ((s * t,),)
+            a = self.a if t == 1 else ((_entry(s * t),),)
             return _affine(a, (other.b[0].scale(s) + self.b[0],))
         b = tuple(x + y for x, y in zip(mat_vec(self.a, other.b), self.b))
-        return _affine(mat_mul(self.a, other.a), b)
+        return _affine(_freeze_matrix(mat_mul(self.a, other.a)), b)
 
     def invert(self) -> "AffineElement":
         if len(self.b) == 1:
             s = self.a[0][0]
             if s == 1:
                 return _affine(self.a, (-self.b[0],))
-            inv = 1 / s
+            inv = _entry(Fraction(1, s))
             return _affine(((inv,),), (-self.b[0].scale(inv),))
-        inv = mat_inv(self.a)
+        inv = _freeze_matrix(mat_inv(self.a))
         return _affine(inv, tuple(-x for x in mat_vec(inv, self.b)))
 
     def apply(self, x: Sequence) -> tuple:
@@ -735,7 +751,7 @@ class AffineElement:
     def from_json(obj: dict) -> "AffineElement":
         a = [[parse_rational(x) for x in row] for row in obj["A"]]
         b = [QAlpha.parse(x) for x in obj["b"]]
-        return AffineElement(_freeze_matrix(a), tuple(b))
+        return AffineElement(a, tuple(b))
 
     def __str__(self) -> str:
         if self.is_translation:

@@ -143,6 +143,9 @@ class TestTrigPolyOperations:
                                 "modes": {"2": [c.real, c.imag]}})
 
 
+_parts = st.sampled_from((0.0, -0.0, 1e-320, math.nan, math.inf, -math.inf))
+
+
 class TestPiecewisePolyBasics:
     def test_shape_validation(self):
         with pytest.raises(QuasifoldError):
@@ -192,6 +195,16 @@ class TestPiecewisePolyBasics:
         assert z.is_zero
         assert z.support() is None
         assert z.eval(0.3) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.builds(complex, _parts, _parts), max_size=3),
+                    max_size=3))
+    def test_is_zero_matches_the_coefficientwise_definition(self, pieces):
+        # pieces outside the constructor's finite range, set directly: NaN is
+        # truthy and not == 0, −0.0 is falsy and == 0
+        f = object.__new__(PiecewisePoly)
+        object.__setattr__(f, "pieces", tuple(map(tuple, pieces)))
+        assert f.is_zero is all(all(c == 0 for c in p) for p in f.pieces)
 
     def test_support_and_degree(self):
         f = PiecewisePoly((qa(0), qa(1, 1)), ((1.0, 0.0, 2.0),))

@@ -206,6 +206,42 @@ class TestLatticeBasisAgainstOracle:
             assert (status is Trit.TRUE) == bool(witnesses)
 
 
+@st.composite
+def lattices_and_values(draw):
+    """A lattice of rank 1–3 in dimension 1 or 2 (zero and repeated
+    generators allowed), an enumeration bound and a few vectors."""
+    n = draw(st.integers(1, 2))
+    vector = st.tuples(*[_value] * n)
+    gens = draw(st.lists(st.one_of(vector, st.just((QAlpha(),) * n)),
+                         min_size=1, max_size=3))
+    if len(gens) < 3 and draw(st.booleans()):
+        gens.append(gens[0])
+    return (TranslationLattice(tuple(gens)), draw(st.integers(0, 2)),
+            draw(st.lists(vector, max_size=4)))
+
+
+class TestLatticeSoundness:
+    @settings(max_examples=150, deadline=None)
+    @given(lattices_and_values())
+    def test_enumeration_membership_and_certified_false_agree(self, case):
+        lat, bound, drawn = case
+        elems = lat.enumerate(bound)
+        for g in elems:
+            assert g.is_translation
+            assert lat.contains_value(g.b) is Trit.TRUE
+            coords, status = lat.membership(g.b, bound)
+            assert status is Trit.TRUE
+            assert tuple(sum((v[j].scale(c) for c, v in
+                              zip(coords, lat.generators)), QAlpha())
+                         for j in range(lat.dimension)) == g.b
+            assert brute_force_witnesses(lat.generators, g.b, bound)
+        translations = {g.b for g in elems}
+        for d in drawn:
+            if lat.contains_value(d) is Trit.FALSE:
+                assert d not in translations
+                assert brute_force_witnesses(lat.generators, d, 2) == []
+
+
 class TestLatticeBasisIsCached:
     def test_one_basis_and_one_solve_per_query(self, monkeypatch):
         solves, bases = [], []
