@@ -255,10 +255,6 @@ class AlgebraElement:
     def allclose(self, other: "AlgebraElement", tol: float) -> bool:
         return self.distance(other) <= tol
 
-    def sup_eval_bound(self) -> float:
-        """A bound on Σ_r |c_r(x)| over every point x."""
-        return sum((c.sup_bound() for _, c in self.support), 0.0)
-
 
 def _normal_support(entries: dict) -> tuple:
     """Nonzero (key, coefficient) pairs in report order: by `QAlpha.sort_key`,

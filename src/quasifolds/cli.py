@@ -5,8 +5,11 @@ Reports are canonical JSON on stdout (sorted keys, stable formatting); with
 --format table/csv the same data is rendered as text.  Timing goes to stderr
 so report bytes depend only on the configuration and seed.
 
-Exit codes: 0 all checks pass, 1 at least one failure, 2 usage or parse
-error, 3 inconclusive results only, or a comparison the α-witness cannot
+One rule (`check`) gives every check its status: `fail` from a certified
+counterexample, else `inconclusive` when an instance is unresolved, else
+`pass`.  Exit codes: 0 all checks pass, 1 some check has a certified
+counterexample, 2 usage or parse error, 3 some instance is unresolved at
+the bound (and no check failed), or a comparison the α-witness cannot
 certify at its precision.
 """
 
@@ -30,8 +33,8 @@ from .catalog import builtin_atlases, builtin_biatlases, z_alpha_lattice
 from .coefficients import _largest
 from .errors import (FibersIncompatibleError, InconclusiveAtBoundError,
                      PrecisionInsufficientError, QuasifoldError)
-from .exact import (AlphaWitness, QAlpha, compare, default_witness, qa,
-                    set_default_witness)
+from .exact import (AlphaWitness, QAlpha, Trit, compare, default_witness,
+                    qa, set_default_witness)
 from .groupoid import Arrow, NebulaPoint, arrow_compose
 from .groups import RationalTranslations
 from .serialize import canonical_dumps, load_atlas_file, load_biatlas_file
@@ -124,9 +127,41 @@ def make_witness(cfg) -> AlphaWitness:
 # report assembly and rendering
 # ---------------------------------------------------------------------------
 
-def check(name: str, status: str, **detail) -> dict:
-    assert status in ("pass", "fail", "inconclusive")
+def check(name: str, failed=False, unresolved=False, /, **detail) -> dict:
+    """A check record, and the one rule from evidence to a status: `fail`
+    for a certified failure, else `inconclusive` when anything is
+    unresolved, else `pass`.  The flags are positional-only, so
+    `violations=` and `unresolved=` pass through as detail."""
+    status = "fail" if failed else "inconclusive" if unresolved else "pass"
     return {"name": name, "status": status, "detail": detail}
+
+
+def _over(value: float, tol: float) -> bool:
+    """A deviation past its tolerance; NaN is past every tolerance."""
+    return not value <= tol
+
+
+class _Tally:
+    """One check's instance verdicts: True (holds), False (a certified
+    violation, with its counterexample) or None (unresolved at the bound)."""
+
+    def __init__(self):
+        self.instances = self.violations = self.unresolved = 0
+        self.counterexamples = []
+
+    def add(self, holds, counterexample) -> None:
+        """Count one instance; `counterexample()` builds a violation's."""
+        self.instances += 1
+        if holds is None:
+            self.unresolved += 1
+        elif not holds:
+            self.violations += 1
+            self.counterexamples.append(counterexample())
+
+    def record(self, name: str, *shown, **detail) -> dict:
+        """The check record, with the counts named in `shown` as detail."""
+        detail.update((k, getattr(self, k)) for k in shown)
+        return check(name, self.violations > 0, self.unresolved > 0, **detail)
 
 
 def build_report(command: str, cfg: dict, checks: list) -> dict:
@@ -173,9 +208,8 @@ def render(report: dict, fmt: str) -> str:
             pairs = _flatten(c["detail"])
             summary = "  ".join(f"{k}={v}" for k, v in pairs[:4])
             lines.append(f"{c['name']:<{width}}  {c['status']:<12}  {summary}")
-        s = report["summary"]
-        lines.append(f"summary: pass={s['pass']} fail={s['fail']} "
-                     f"inconclusive={s['inconclusive']}")
+        lines.append("summary: " + " ".join(
+            f"{k}={n}" for k, n in report["summary"].items()))
         return "\n".join(lines) + "\n"
     # csv
     lines.append("name,status,detail")
@@ -277,14 +311,14 @@ def cmd_groupoid(args, cfg) -> dict:
     report = groupoid.isotropy_and_assembly(point, bound)
     fiber = groupoid.fiber_over(point, bound)
     checks = [
-        check("assembly", "pass",
+        check("assembly",
               point=str(point), bound=bound,
               blocks=[{"chart": cid, "objects": len(objs),
                        "arrows": len(arrows)}
                       for cid, objs, arrows in report.blocks],
               connections=len(report.connections)),
-        check("fiber", "pass", size=len(fiber)),
-        check("isotropy", "pass", order=len(report.isotropy)),
+        check("fiber", size=len(fiber)),
+        check("isotropy", order=len(report.isotropy)),
     ]
     out = build_report("groupoid", cfg, checks)
     out["assembly"] = report.to_json()
@@ -330,14 +364,12 @@ def cmd_algebra(args, cfg) -> dict:
             worst["bilin"] = _largest((worst["bilin"], lhs.distance(rhs)))
         checks.append(check(
             f"{name}-routes-agree",
-            "pass" if worst["routes"] <= route_tol and not worst["support"]
-            else "fail",
+            _over(worst["routes"], route_tol) or worst["support"] > 0,
             max_distance=worst["routes"], support_mismatches=worst["support"],
             tol=route_tol, trials=trials))
         for axiom in ("assoc", "star", "invol", "bilin"):
             checks.append(check(
-                f"{name}-{axiom}",
-                "pass" if worst[axiom] <= axiom_tol else "fail",
+                f"{name}-{axiom}", _over(worst[axiom], axiom_tol),
                 max_distance=worst[axiom], tol=axiom_tol, trials=trials))
     return build_report("algebra", cfg, checks)
 
@@ -349,15 +381,15 @@ def cmd_rotation(args, cfg) -> dict:
     lam = result["lambda"]
     checks = [
         check("lambda-matches-reference",
-              "pass" if result["lambda_error"] <= 1e-12 else "fail",
+              _over(result["lambda_error"], 1e-12),
               empirical=[lam.real, lam.imag],
               reference=[result["reference"].real, result["reference"].imag],
               error=result["lambda_error"], tol=1e-12),
         check("relation-residual",
-              "pass" if result["relation_residual"] <= 1e-12 else "fail",
+              _over(result["relation_residual"], 1e-12),
               residual=result["relation_residual"], tol=1e-12),
         check("power-relations",
-              "pass" if result["power_residual"] <= cfg["tol"] else "fail",
+              _over(result["power_residual"], cfg["tol"]),
               residual=result["power_residual"], tol=cfg["tol"],
               max_power=result["max_power"]),
     ]
@@ -368,7 +400,7 @@ def cmd_repr(args, cfg) -> dict:
     rng = random.Random(cfg["seed"])
     model = alg.CircleModel("rational")
     ps = args.p
-    checks = [check("product-order-constant", "pass",
+    checks = [check("product-order-constant",
                     value=alg.REPRESENTATION_PRODUCT_ORDER)]
     for p in ps:
         worst = 0.0
@@ -383,7 +415,7 @@ def cmd_repr(args, cfg) -> dict:
                 Mg = alg.matrix_representation(g, p, z)
                 worst = _largest((worst, (M - (Mf @ Mg)).sup_norm()))
         checks.append(check(f"repr-multiplicative-p{p}",
-                            "pass" if worst <= cfg["tol"] else "fail",
+                            _over(worst, cfg["tol"]),
                             max_deviation=worst, tol=cfg["tol"],
                             pairs=args.pairs, z_samples=args.z_samples))
         if p == 1:
@@ -394,8 +426,7 @@ def cmd_repr(args, cfg) -> dict:
             M = alg.matrix_representation(starred, 1, z).rows[0][0]
             pointwise = (f.coeff(qa(0)).eval(z) * g.coeff(qa(0)).eval(z))
             checks.append(check(
-                "repr-p1-pointwise",
-                "pass" if abs(M - pointwise) <= 1e-12 else "fail",
+                "repr-p1-pointwise", _over(abs(M - pointwise), 1e-12),
                 deviation=abs(M - pointwise), tol=1e-12))
     return build_report("repr", cfg, checks)
 
@@ -419,135 +450,122 @@ def cmd_rq_algebra(args, cfg) -> dict:
         worst_adjoint = _largest((worst_adjoint,
                                   (Ms - Mf.conjugate_transpose()).sup_norm()))
     checks = [
-        check("routes-agree", "pass" if worst_routes <= 1e-12 else "fail",
+        check("routes-agree", _over(worst_routes, 1e-12),
               max_distance=worst_routes, tol=1e-12, trials=trials),
-        check("star-is-adjoint",
-              "pass" if worst_adjoint <= cfg["tol"] else "fail",
+        check("star-is-adjoint", _over(worst_adjoint, cfg["tol"]),
               max_deviation=worst_adjoint, tol=cfg["tol"]),
-        check("product-order-constant", "pass",
+        check("product-order-constant",
               value=alg.REPRESENTATION_PRODUCT_ORDER),
     ]
     return build_report("rq-algebra", cfg, checks)
 
 
+def _off_every_orbit(groupoid, starts, t, bound):
+    """The verdict on a target that no bounded probe reached: False (a
+    certified violation) when `same_point` puts t off the orbit of every
+    start, else None (unresolved at the bound)."""
+    refuted = all(groupoid.same_point(s, t, bound) is Trit.FALSE
+                  for s in starts)
+    return False if refuted else None
+
+
 def cmd_morita(args, cfg) -> dict:
     bi = resolve_biatlas(args.biatlas)
     bound = cfg["bound"]
-    word_length = args.word_length
-    germs = bim.generate_germs(bi, word_length)
+    germs = bim.generate_germs(bi, args.word_length)
+    capped = germs[: args.instance_cap]
     G, Gp = bi.left_groupoid(), bi.right_groupoid()
-    checks = []
-    failures = []
+    unit, assoc, comm, free, inj, surj = (_Tally() for _ in range(6))
 
     # (i) unit laws
-    bad = 0
     for z in germs:
-        uz = bim.left_act(Arrow.unit(z.src), z)
-        zu = bim.right_act(z, Arrow.unit(z.trg))
-        if uz != z or zu != z:
-            bad += 1
-            failures.append({"axiom": "unit", "germ": z.to_json()})
-    checks.append(check("unit-laws", "pass" if bad == 0 else "fail",
-                        instances=len(germs), violations=bad))
+        unit.add(bim.left_act(Arrow.unit(z.src), z) == z
+                 and bim.right_act(z, Arrow.unit(z.trg)) == z,
+                 lambda: {"axiom": "unit", "germ": z.to_json()})
 
     # (ii) associativity of each action and (iii) commutation between the
     # two actions
-    bad_assoc = bad_comm = assoc_total = comm_total = 0
     words = {}  # word searches shared by every loop below, see arrows_from
-    for z in germs[: args.instance_cap]:
+    for z in capped:
         lefts = G.fiber_over(z.src, 1, words=words)
         rights = Gp.arrows_from(z.trg, 1, words=words)
         for g in lefts[:4]:
-            deeper = G.fiber_over(g.src, 1, words=words)
-            for g1 in deeper[:3]:
-                composite = arrow_compose(g1, g)
-                if bim.left_act(composite, z) != bim.left_act(
-                        g1, bim.left_act(g, z)):
-                    bad_assoc += 1
-                assoc_total += 1
+            for g1 in G.fiber_over(g.src, 1, words=words)[:3]:
+                assoc.add(bim.left_act(arrow_compose(g1, g), z)
+                          == bim.left_act(g1, bim.left_act(g, z)),
+                          lambda: {"axiom": "left-associativity",
+                                   "germ": z.to_json()})
         for gp in rights[:4]:
-            deeper = Gp.arrows_from(gp.trg, 1, words=words)
-            for gp1 in deeper[:3]:
-                composite = arrow_compose(gp, gp1)
-                if bim.right_act(z, composite) != bim.right_act(
-                        bim.right_act(z, gp), gp1):
-                    bad_assoc += 1
-                assoc_total += 1
+            for gp1 in Gp.arrows_from(gp.trg, 1, words=words)[:3]:
+                assoc.add(bim.right_act(z, arrow_compose(gp, gp1))
+                          == bim.right_act(bim.right_act(z, gp), gp1),
+                          lambda: {"axiom": "right-associativity",
+                                   "germ": z.to_json()})
         for g in lefts[:4]:
             for gp in rights[:4]:
-                lhs = bim.right_act(bim.left_act(g, z), gp)
-                rhs = bim.left_act(g, bim.right_act(z, gp))
-                if lhs != rhs:
-                    bad_comm += 1
-                    failures.append({"axiom": "commute", "germ": z.to_json()})
-                comm_total += 1
-    checks.append(check("action-associativity",
-                        "pass" if bad_assoc == 0 else "fail",
-                        violations=bad_assoc, instances=assoc_total))
-    checks.append(check("actions-commute", "pass" if bad_comm == 0 else "fail",
-                        violations=bad_comm, instances=comm_total))
+                comm.add(bim.right_act(bim.left_act(g, z), gp)
+                         == bim.left_act(g, bim.right_act(z, gp)),
+                         lambda: {"axiom": "commute", "germ": z.to_json()})
 
     # (iv) freeness: the self-witness must be the unit
-    bad = 0
-    for z in germs[: args.instance_cap]:
-        w, cert = bim.quotient_witness(bi, z, z, bound, words=words)
-        wp, certp = bim.quotient_witness_right(bi, z, z, bound, words=words)
-        if cert != "constructed" or not w.is_unit:
-            bad += 1
-        if certp != "constructed" or not wp.is_unit:
-            bad += 1
-    checks.append(check("freeness", "pass" if bad == 0 else "fail",
-                        violations=bad))
+    for z in capped:
+        for side, (w, cert) in (
+                ("left", bim.quotient_witness(bi, z, z, bound, words=words)),
+                ("right", bim.quotient_witness_right(bi, z, z, bound,
+                                                     words=words))):
+            free.add(None if cert == "inconclusive-at-bound"
+                     else cert == "constructed" and w.is_unit,
+                     lambda: {"axiom": f"{side}-freeness",
+                              "germ": z.to_json()})
 
     # (v) class-map bijections: equal classes must be witnessed (injectivity
     # of Z/G -> Obj(G')), every reached object must be hit by a probe
     # (surjectivity); symmetric statement for sources via Z/G' -> Obj(G).
-    inj_bad = inj_unknown = 0
-    for i, z in enumerate(germs[: args.instance_cap]):
-        for zp in germs[i + 1: args.instance_cap]:
+    for i, z in enumerate(capped):
+        for zp in capped[i + 1:]:
             if bim.class_map(z) == bim.class_map(zp):
                 w, cert = bim.quotient_witness(bi, z, zp, bound, words=words)
-                if cert == "inconclusive-at-bound":
-                    inj_unknown += 1
-                elif cert != "constructed" or bim.left_act(w, z) != zp:
-                    inj_bad += 1
-                    failures.append({"axiom": "left-injectivity",
-                                     "germ": z.to_json(),
-                                     "other": zp.to_json()})
+                inj.add(None if cert == "inconclusive-at-bound"
+                        else cert == "constructed"
+                        and bim.left_act(w, z) == zp,
+                        lambda: {"axiom": "left-injectivity",
+                                 "germ": z.to_json(), "other": zp.to_json()})
             if z.src == zp.src:
                 w, cert = bim.quotient_witness_right(bi, z, zp, bound,
                                                      words=words)
-                if cert == "inconclusive-at-bound":
-                    inj_unknown += 1
-                elif cert != "constructed" or bim.right_act(z, w) != zp:
-                    inj_bad += 1
-                    failures.append({"axiom": "right-injectivity",
-                                     "germ": z.to_json(),
-                                     "other": zp.to_json()})
-    status = ("pass" if inj_bad == 0 and inj_unknown == 0
-              else ("fail" if inj_bad else "inconclusive"))
-    checks.append(check("class-map-injectivity", status,
-                        violations=inj_bad, unresolved=inj_unknown))
+                inj.add(None if cert == "inconclusive-at-bound"
+                        else cert == "constructed"
+                        and bim.right_act(z, w) == zp,
+                        lambda: {"axiom": "right-injectivity",
+                                 "germ": z.to_json(), "other": zp.to_json()})
 
-    surj_bad = 0
-    targets = {bim.class_map(z) for z in germs[: args.instance_cap]}
+    # a probe that misses within the bound fails only when every seed's
+    # class (source) is certified off the target's orbit
+    targets = {bim.class_map(z) for z in capped}
     for t in sorted(targets, key=str):
         z = bim.surjectivity_probe(bi, t, bound, words=words)
-        if z is None or bim.class_map(z) != t:
-            surj_bad += 1
-            failures.append({"axiom": "class-surjectivity", "target": str(t)})
-    sources = {z.src for z in germs[: args.instance_cap]}
+        surj.add(_off_every_orbit(Gp, [bim.class_map(s) for s in bi.seeds],
+                                  t, bound) if z is None
+                 else bim.class_map(z) == t,
+                 lambda: {"axiom": "class-surjectivity", "target": str(t)})
+    sources = {z.src for z in capped}
     for t in sorted(sources, key=str):
         z = bim.source_probe(bi, t, bound, words=words)
-        if z is None or z.src != t:
-            surj_bad += 1
-            failures.append({"axiom": "source-surjectivity", "target": str(t)})
-    checks.append(check("class-map-surjectivity",
-                        "pass" if surj_bad == 0 else "fail",
-                        violations=surj_bad,
-                        class_targets=len(targets), source_targets=len(sources)))
+        surj.add(_off_every_orbit(G, [s.src for s in bi.seeds], t, bound)
+                 if z is None else z.src == t,
+                 lambda: {"axiom": "source-surjectivity", "target": str(t)})
 
-    out = build_report("morita", cfg, checks)
+    out = build_report("morita", cfg, [
+        unit.record("unit-laws", "instances", "violations"),
+        assoc.record("action-associativity", "instances", "violations"),
+        comm.record("actions-commute", "instances", "violations"),
+        free.record("freeness", "violations"),
+        inj.record("class-map-injectivity", "violations", "unresolved"),
+        surj.record("class-map-surjectivity", "violations", "unresolved",
+                    class_targets=len(targets), source_targets=len(sources)),
+    ])
+    failures = [c for t in (unit, assoc, comm, free, inj, surj)
+                for c in t.counterexamples]
     if failures:
         out["counterexamples"] = failures[:10]
     return out
@@ -594,7 +612,7 @@ def _lift_detect(args, cfg) -> dict:
     report = lift.detect_pieces(F, group, cfg["bound"])
     ok = (report.coverage == expect_coverage
           and (expect_pieces == 0 or report.piece_count == expect_pieces))
-    checks = [check(f"detect-{label}", "pass" if ok else "fail",
+    checks = [check(f"detect-{label}", not ok,
                     pieces=report.piece_count, coverage=report.coverage,
                     expected_pieces=expect_pieces,
                     expected_coverage=expect_coverage,
@@ -619,11 +637,11 @@ def _lift_fit(args, cfg) -> dict:
                                       kind="numeric", seed=cfg["seed"])
     fit = lift.reconstruct_affine(F, tol=max(cfg["tol"], 1e-9))
     accepted = fit is not None
-    ok = accepted == (expect == "accept")
     detail = {"expected": expect, "accepted": accepted}
     if fit:
         detail["fit"] = fit.to_json()
-    checks = [check(f"fit-{kind}", "pass" if ok else "fail", **detail)]
+    checks = [check(f"fit-{kind}", accepted != (expect == "accept"),
+                    **detail)]
     return build_report("lift fit", cfg, checks)
 
 
@@ -634,13 +652,13 @@ def _lift_construct(args, cfg) -> dict:
     try:
         result = lift.lift_diffeo(bi, r, rp, cfg["bound"])
         hit = result.apply(r) == rp
-        checks = [check("lift-constructed", "pass" if hit else "fail",
+        checks = [check("lift-constructed", not hit,
                         map=result.to_json(), endpoint_exact=hit)]
     except FibersIncompatibleError as exc:
-        checks = [check("lift-constructed", "fail",
+        checks = [check("lift-constructed", True,
                         certificate="fibers-incompatible", reason=str(exc))]
     except InconclusiveAtBoundError as exc:
-        checks = [check("lift-constructed", "inconclusive",
+        checks = [check("lift-constructed", False, True,
                         certificate="inconclusive-at-bound", reason=str(exc))]
     return build_report("lift construct", cfg, checks)
 
@@ -653,11 +671,11 @@ def _lift_flipdemo(args, cfg) -> dict:
     for row in report["annuli"]:
         checks.append(check(
             f"annulus-{row['n']}-{row['parity']}",
-            "pass" if row["pass"] else "fail",
+            _over(row["max_deviation"], report["tol"]),
             h=row["h"], max_deviation=row["max_deviation"],
             max_magnitude=row["max_magnitude"], samples=row["samples"]))
     checks.append(check("outside-unit-disk-zero",
-                        "pass" if report["outside_zero"] else "fail"))
+                        not report["outside_zero"]))
     return build_report("lift flipdemo", cfg, checks)
 
 

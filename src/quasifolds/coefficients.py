@@ -20,8 +20,8 @@ tuples need no walk.  Both walks order two breakpoints by the witness's
 binary64 enclosures (`enclosed_sign`), else by exact equality, else by
 certified `compare` (`AlphaWitness.order`), and Taylor-shift a piece to a
 grid point by the witness's float of the exact offset, kept once per
-offset.  Both can walk the left operand shifted by an exact s, with no
-shifted copy, and keep Taylor shifts in a memo that lives for one
+offset.  The overlap walk can read the left operand shifted by an exact s,
+with no shifted copy, and keeps Taylor shifts in a memo that lives for one
 operation.  A line product Σ f_a(· + s)·g_s is planned here
 (`_line_plan`): it fetches each coefficient's enclosures once, skips by
 the same `enclosed_sign` rule the key pairs whose supports are apart, and
@@ -179,9 +179,6 @@ class TrigPoly:
 
     def eval(self, x: float) -> complex:
         return K.trig_eval(self.offset, self.coeffs, float(x))
-
-    def sup_bound(self) -> float:
-        return sum(map(abs, self.coeffs))
 
     def distance(self, other: "TrigPoly") -> float:
         """Max coefficient difference; NaN when a difference is NaN."""
@@ -446,33 +443,24 @@ class PiecewisePoly:
                           tuple(tuple(x.conjugate() for x in p) for p in self.pieces))
 
     # -- grid alignment --
-    def _aligned(self, other: "PiecewisePoly", s: QAlpha | None = None,
-                 memo: dict | None = None):
+    def _aligned(self, other: "PiecewisePoly"):
         """(grid, mine, theirs): both operands' breakpoints in order, and
         each one's local coefficients per grid interval (() off its
         support), for `+` and `distance`; a product walks only the overlap
-        (`_overlap`).
-
-        With an exact shift `s`, the left operand is self(· + s): its
-        breakpoints read b − s and its pieces are self's, as for
-        `self.shift_arg(s)`, but no shifted copy is built.  Operands with
-        equal breakpoint tuples and no shift need no walk: the grid is
-        theirs and the pieces are the stored ones.
+        (`_overlap`).  Operands with equal breakpoint tuples need no walk:
+        the grid is theirs and the pieces are the stored ones.
 
         The walk orders its two heads with the witness's `order`: binary64
         enclosures decide a separated pair; an exactly equal pair enters
         the grid once; only an undecided pair reaches certified `compare`,
-        which raises PrecisionInsufficientError on a near-tie.  `memo`, a
-        dict that lives for one operation (one per call when not given),
-        keeps each operand's and s's enclosures and each Taylor shift (see
-        `_enclosed` and `_taylor`)."""
+        which raises PrecisionInsufficientError on a near-tie.  A memo that
+        lives for the call keeps each operand's enclosures and each Taylor
+        shift (see `_enclosed` and `_taylor`)."""
         a, b = self.breakpoints, other.breakpoints
-        if s is None and a == b:
+        if a == b:
             return list(a), list(self.pieces), list(other.pieces)
-        if memo is None:
-            memo = {}
+        memo = {}
         ea, eb = _enclosed(self, memo), _enclosed(other, memo)
-        es = None if s is None else _enclosed(s, memo)[0]
         w = default_witness()
         order, to_float = w.order, w.to_float
         pa, pb = self.pieces, other.pieces
@@ -485,14 +473,11 @@ class PiecewisePoly:
             elif i == n:
                 sign = 1
             else:
-                sign = order(a[i], b[j], ea[i], eb[j], s, es)
-            # x enters the grid (a tie as other's breakpoint, which needs no
-            # subtraction); a piece that starts there is read as stored,
-            # one that started before is Taylor-shifted to x
-            if sign >= 0:
-                x = b[j]
-            else:
-                x = a[i] if s is None else a[i] - s
+                sign = order(a[i], b[j], ea[i], eb[j])
+            # x enters the grid (a tie as other's breakpoint); a piece that
+            # starts there is read as stored, one that started before is
+            # Taylor-shifted to x
+            x = b[j] if sign >= 0 else a[i]
             if sign <= 0:
                 i += 1
                 start_a = x
@@ -540,34 +525,6 @@ class PiecewisePoly:
             if x <= floats[i + 1]:
                 return K.poly_eval(list(self.pieces[i]), x - floats[i])
         return 0j
-
-    def max_jump(self) -> float:
-        """Largest discontinuity across interior breakpoints (and the ends,
-        where the function must meet zero)."""
-        if not self.breakpoints:
-            return 0.0
-        w = default_witness()
-        worst = abs(K.poly_eval(list(self.pieces[0]), 0.0))
-        for i in range(len(self.pieces) - 1):
-            width = w.to_float(self.breakpoints[i + 1] - self.breakpoints[i])
-            left = K.poly_eval(list(self.pieces[i]), width)
-            right = K.poly_eval(list(self.pieces[i + 1]), 0.0)
-            worst = max(worst, abs(left - right))
-        last_width = w.to_float(self.breakpoints[-1] - self.breakpoints[-2])
-        worst = max(worst, abs(K.poly_eval(list(self.pieces[-1]), last_width)))
-        return worst
-
-    def sup_bound(self) -> float:
-        """A bound on |self(x)| over every x: the max over pieces of
-        Σ |c_k|·w^k, w the piece's width, which bounds the local polynomial
-        on [0, w]."""
-        w, bps = default_witness(), self.breakpoints
-        bound = 0.0
-        for lo, hi, p in zip(bps, bps[1:], self.pieces):
-            width = w.to_float(hi - lo)
-            bound = max(bound, sum(abs(c) * width ** k
-                                   for k, c in enumerate(p)))
-        return bound
 
     def distance(self, other: "PiecewisePoly") -> float:
         """Max coefficient difference on the merged grid (bounds nothing by

@@ -405,52 +405,6 @@ class TestMatrixRepresentation:
             matrix_representation(g, 2)
 
 
-class TestSupEvalBound:
-    def test_dominates_matrix_entries(self):
-        rng = random.Random(43)
-        m = CircleModel("rational")
-        f = random_circle_element(rng, m, denominator=3)
-        bound = f.sup_eval_bound()
-        M = matrix_representation(f, 3, 0.29)
-        for row in M.rows:
-            for v in row:
-                assert abs(v) <= bound + 1e-12
-
-    def test_line_pieces_are_bounded_over_their_width(self):
-        # 1 + u on [0, 1] reaches 2 and u on [0, 3] reaches 3, while their
-        # largest coefficient is 1
-        one_plus_u = PiecewisePoly((qa(0), qa(1)), ((1.0, 1.0),))
-        u_to_3 = PiecewisePoly((qa(0), qa(3)), ((0.0, 1.0),))
-        assert one_plus_u.sup_bound() == 2.0 and u_to_3.sup_bound() == 3.0
-        assert delta(line_model(), qa(0), one_plus_u).sup_eval_bound() == 2.0
-        assert PiecewisePoly().sup_bound() == 0.0
-
-    def test_dominates_line_values(self):
-        rng = random.Random(44)
-        model = line_model()
-        for _ in range(60):
-            entries, points = [], []
-            for m in range(-1, 2):
-                lo = rng.randint(-3, 1)
-                bps = [lo]
-                for _ in range(rng.randint(1, 3)):
-                    bps.append(bps[-1] + Fraction(rng.randint(1, 8), 2))
-                pieces = [tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                                for _ in range(rng.randint(1, 5)))
-                          for _ in bps[1:]]
-                if rng.random() < 0.5:  # every coefficient positive
-                    pieces = [tuple(abs(c) for c in p) for p in pieces]
-                entries.append((qa(0, m), PiecewisePoly(bps, pieces)))
-                points += [float(b) for b in bps]
-                points += [rng.uniform(float(bps[0]), float(bps[-1]))
-                           for _ in range(8)]
-            f = AlgebraElement(model, tuple(entries))
-            bound = f.sup_eval_bound()
-            for x in points:
-                total = sum(abs(c.eval(x)) for _, c in f.support)
-                assert total <= bound * (1 + 1e-12)
-
-
 class TestSupportOrder:
     """`_normal_support` sorts by integers over the keys' common denominator;
     the order must be exactly that of `QAlpha.sort_key`, the pair (p, q)."""

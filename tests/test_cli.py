@@ -2,8 +2,10 @@
 formats, and configuration precedence.  Everything runs in-process through
 main(argv)."""
 
+import ast
 import contextlib
 import hashlib
+import itertools
 import io
 import json
 import math
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quasifolds.cli
 from quasifolds import bimodule as bim
 from quasifolds.algebra import AlgebraElement, ComplexMatrix
 from quasifolds.atlas import Atlas, Chart, Transition
@@ -510,10 +513,10 @@ class TestDeterminism:
          "58275e13fad955caa6cc5b5fe267a31e933a0303b009f7c05018216caae6045c",
          EXIT_PASS),
         (("morita", "--biatlas", "two-scale", "--word-length", "1"),
-         "41507c4b5e0b52874f232fe57cd4958be3cc39e706ac56e6d04981d840b8a326",
+         "d0c4e73322f414acdd2f7c2688f072f140afce676030c80e9c970db911470adf",
          EXIT_PASS),
         (("morita", "--biatlas", "duplicated", "--word-length", "2"),
-         "0f4d04f91e2ece5ee862282bd865318735209ec04a08b8c2a0133d7faf3520e0",
+         "9d7d8f1b92bb4a1aa64768b5d42b8659b1d966378a619b9e4fca52ad4ba50ef7",
          EXIT_PASS),
         (("lift", "construct", "--biatlas", "two-scale", "--r", "1/3+α",
           "--rp", "2/3+α*2"),
@@ -714,6 +717,106 @@ class TestCommandContent:
         assert check["action-associativity"]["status"] == "fail"
         assert check["action-associativity"]["detail"] == {
             "instances": 1440, "violations": 720}
+
+
+class TestMoritaStatuses:
+    """A check fails only from a certified counterexample.  The built-in
+    bi-atlases are genuine equivalences, so no `morita` run on them may
+    fail; a probe that misses a target within `--bound` leaves it
+    unresolved, unless the target is certified off every seed's orbit."""
+
+    @pytest.mark.parametrize("name", sorted(builtin_biatlases()))
+    def test_a_bounded_miss_is_unresolved(self, capsys, name):
+        # the germs come from words of length 3, the probes search words of
+        # length 1: every target is in the image, 24 are out of reach
+        code, report, _ = run_json(capsys, "morita", "--biatlas", name,
+                                   "--word-length", "3", "--bound", "1")
+        surj = next(c for c in report["checks"]
+                    if c["name"] == "class-map-surjectivity")
+        assert code == EXIT_INCONCLUSIVE
+        assert surj["status"] == "inconclusive"
+        assert (surj["detail"]["unresolved"], surj["detail"]["violations"]) \
+            == (24, 0)
+        assert "counterexamples" not in report
+
+    @pytest.mark.parametrize("name, target", [("duplicated", "main:(1/7)"),
+                                              ("two-scale", "half:(1/7)")])
+    def test_a_germ_off_every_orbit_fails(self, capsys, monkeypatch, name,
+                                          target):
+        """The seed moved by the translation 1/7 has its class off every
+        seed's orbit (1/7 lies in neither Z + αZ nor its half), which
+        `same_point` certifies.  It goes first, inside --instance-cap."""
+        generate = bim.generate_germs
+
+        def with_stray(bi, word_length):
+            seed = bi.seeds[0]
+            seventh = AffineElement.translation((qa(Fraction(1, 7)),))
+            stray = LinkingGerm(seed.src, seventh.compose(seed.map),
+                                seed.dst_chart)
+            return (stray,) + generate(bi, word_length)
+
+        monkeypatch.setattr(bim, "generate_germs", with_stray)
+        code, report, _ = run_json(capsys, "morita", "--biatlas", name)
+        surj = next(c for c in report["checks"]
+                    if c["name"] == "class-map-surjectivity")
+        assert code == EXIT_FAIL
+        assert surj["status"] == "fail"
+        assert surj["detail"]["violations"] == 1
+        assert {"axiom": "class-surjectivity", "target": target} \
+            in report["counterexamples"]
+
+    @pytest.mark.parametrize("name, word_length, bound", itertools.product(
+        sorted(builtin_biatlases()), (1, 2, 3), (1, 2, 3)))
+    def test_no_check_fails_on_a_builtin_biatlas(self, capsys, name,
+                                                 word_length, bound):
+        code, report, _ = run_json(capsys, "morita", "--biatlas", name,
+                                   "--word-length", str(word_length),
+                                   "--bound", str(bound))
+        assert [c["name"] for c in report["checks"]
+                if c["status"] == "fail"] == []
+        assert code in (EXIT_PASS, EXIT_INCONCLUSIVE)
+
+
+STATUSES = {"pass", "fail", "inconclusive"}
+# where a status may be named: the rule, and the summary built from it
+STATUS_OWNERS = {"check", "build_report", "exit_code"}
+
+
+def status_names(tree) -> list:
+    """(outermost enclosing definition or None, line) of each string
+    constant in the tree that names a check status."""
+    found = []
+
+    def visit(node, owner):
+        if owner is None and isinstance(node, (ast.FunctionDef,
+                                               ast.ClassDef)):
+            owner = node.name
+        if isinstance(node, ast.Constant) and node.value in STATUSES:
+            found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_status_names_are_found():
+    tree = ast.parse("def cmd_x(ok):\n"
+                     "    def inner():\n"
+                     "        return 'fail'\n"
+                     "    return check('x', 'pass' if ok else 'failed')\n"
+                     "summary = {'inconclusive': 0}\n")
+    assert status_names(tree) == [("cmd_x", 3), ("cmd_x", 4), (None, 5)]
+
+
+def test_only_the_status_rule_names_a_status():
+    """No command writes its own status: each passes its evidence to
+    `check`, the one rule from evidence to a status."""
+    source = Path(quasifolds.cli.__file__).read_text(encoding="utf-8")
+    offenders = [f"cli.py:{line} in {owner}"
+                 for owner, line in status_names(ast.parse(source))
+                 if owner not in STATUS_OWNERS]
+    assert offenders == []
 
 
 class TestNanDistancesFail:

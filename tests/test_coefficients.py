@@ -97,12 +97,6 @@ class TestTrigPolyOperations:
         f = trig({1: 1, 4: -2j})
         assert f.rotate(0.0).allclose(f, 1e-15)
 
-    def test_sup_bound_dominates_samples(self):
-        f = trig({1: 1 + 1j, -2: 2, 5: -0.5j})
-        sup = f.sup_bound()
-        for x in [k / 97 for k in range(97)]:
-            assert abs(f.eval(x)) <= sup + 1e-12
-
     def test_distance_and_allclose(self):
         f, g = trig({1: 1}), trig({1: 1 + 1e-13, 2: 5e-14})
         assert f.distance(g) < 1e-12
@@ -288,15 +282,6 @@ class TestPiecewisePolyArithmetic:
 
 
 class TestPiecewisePolyMetrics:
-    def test_max_jump_continuous(self):
-        f = PiecewisePoly.interpolate_linear(
-            [qa(0), qa(Fraction(1, 2)), qa(1)], [0.0, 1.0, 0.0])
-        assert f.max_jump() < 1e-12
-
-    def test_max_jump_indicator(self):
-        f = PiecewisePoly.constant_on(qa(0), qa(1), 1.0)
-        assert f.max_jump() == pytest.approx(1.0)
-
     def test_distance_and_allclose(self):
         f = PiecewisePoly.constant_on(qa(0), qa(1), 1.0)
         g = PiecewisePoly.constant_on(qa(0), qa(1), 1.0 + 1e-13)

@@ -73,9 +73,6 @@ class Sparse:
         off, (arr,) = sparse_rows(self)
         return K.trig_eval(off, arr, float(x))
 
-    def sup_bound(self):
-        return sum(abs(c) for _, c in self.modes)
-
     def distance(self, other):
         _, (a, b) = sparse_rows(self, other)
         return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
@@ -224,7 +221,6 @@ class TestAgainstSparse:
     def test_eval_sup_bound_degree(self, d, x):
         p, r = both(d)
         assert bits(p.eval(x)) == bits(r.eval(x))
-        assert bits(p.sup_bound()) == bits(r.sup_bound())
         assert p.degree() == r.degree()
 
     @SETTINGS

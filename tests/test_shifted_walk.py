@@ -1,17 +1,17 @@
-"""The shifted walks and the equal-grid shortcuts of `PiecewisePoly`.
+"""The shifted overlap walk and the equal-grid shortcuts of `PiecewisePoly`.
 
 A line product walks f_a(· + s) against g_s over the overlap of their
 supports only (`coefficients._overlap`), reading f_a's own breakpoints
 with the exact shift s and enclosures fetched once per product, instead
 of building `f_a.shift_arg(s)` and walking that; `+` and `distance` walk
-the union of the breakpoints (`PiecewisePoly._aligned`), which takes the
-same shift.  The first tests compare each shifted walk with the walk of
-the shifted copy: the same grid values, the same live intervals, the same
-coefficient bits, and the same exception, with and without a memo warmed
-by an earlier walk, under the golden witness and √2 − 1 at 80 digits, on
-breakpoints and shifts with no binary64 enclosure (|a| ≥ 2⁵³ or d ≥ 2⁵³)
-and on Fibonacci near-tie shifts.  The overlap walk is also the union walk
-cut to the overlap.  The last tests check that operands with equal
+the union of the breakpoints (`PiecewisePoly._aligned`), unshifted.  The
+first tests compare the shifted walk with the walk of the shifted copy:
+the same grid values, the same live intervals, the same coefficient bits,
+and the same exception, with and without a memo warmed by an earlier walk,
+under the golden witness and √2 − 1 at 80 digits, on breakpoints and
+shifts with no binary64 enclosure (|a| ≥ 2⁵³ or d ≥ 2⁵³) and on Fibonacci
+near-tie shifts.  The overlap walk is also the union walk of the shifted
+copy cut to the overlap.  The last tests check that operands with equal
 breakpoint tuples, which skip the walk, give the bits of the sort-based
 oracle for `+`, `*` and `distance`.
 """
@@ -62,32 +62,8 @@ def piecewise(draw):
         return PiecewisePoly()
 
 
-def walk_bits(walk):
-    """The grid, which intervals each operand is live on, and the bits of
-    every coefficient, of an `_aligned` result or the exception it raised."""
-    try:
-        grid, mine, theirs = walk()
-    except PrecisionInsufficientError:
-        return "raises"
-    return (grid, [bool(p) for p in mine], [bool(p) for p in theirs],
-            [piece_bits(p) for p in mine], [piece_bits(p) for p in theirs])
-
-
 def piece_bits(piece) -> tuple:
     return tuple((c.real.hex(), c.imag.hex()) for c in piece)
-
-
-def both_walks(f, g, s):
-    """(shifted union walk, union walk of the shifted copy), each with and
-    without the caller's enclosures and shift dict."""
-    memo = {}
-    walk_bits(lambda: f._aligned(g, s, memo))
-    copy = f.shift_arg(s)
-    got = [walk_bits(lambda: f._aligned(g, s=s)),
-           walk_bits(lambda: f._aligned(g, s, memo))]
-    want = walk_bits(lambda: copy._aligned(g))
-    assert walk_bits(lambda: copy._aligned(g, memo={})) == want
-    return got, want
 
 
 def overlap_bits(f, g, s=None, memo=None):
@@ -122,11 +98,11 @@ def both_overlaps(f, g, s):
 
 
 def union_cut(f, g, s):
-    """The overlap walk as read off the shifted union walk: its grid from
-    the later start to the earlier end, live where both pieces there are
-    nonempty, and those pieces."""
+    """The overlap walk as read off the union walk of the shifted copy: its
+    grid from the later start to the earlier end, live where both pieces
+    there are nonempty, and those pieces."""
     try:
-        grid, mine, theirs = f._aligned(g, s)
+        grid, mine, theirs = f.shift_arg(s)._aligned(g)
     except PrecisionInsufficientError:
         return "raises"
     if not f.breakpoints or not g.breakpoints:
@@ -142,17 +118,6 @@ def union_cut(f, g, s):
 
 WITNESSES = pytest.mark.parametrize("witness", [W, SQRT2_80],
                                     ids=["golden", "sqrt2-80"])
-
-
-@WITNESSES
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_shifted_walk_is_the_walk_of_the_shifted_copy(witness, data):
-    set_default_witness(witness)
-    f, g = data.draw(piecewise()), data.draw(piecewise())
-    s = data.draw(shifts)
-    got, want = both_walks(f, g, s)
-    assert got == [want, want]
 
 
 @WITNESSES
@@ -175,14 +140,13 @@ def test_near_tie_shift_raises_as_the_copy_does(k):
     f = PiecewisePoly((qa(0), qa(1), qa(2)), ((1.0, 0.5j), (2.0,)))
     g = PiecewisePoly((qa(-k), qa(1 - k)), ((3.0, -1.0),))
     s = qa(k) - NEAR_TIE
-    for both in (both_walks, both_overlaps):
-        got, want = both(f, g, s)
-        assert want == "raises" and got == [want, want]
+    got, want = both_overlaps(f, g, s)
+    assert want == "raises" and got == [want, want]
+    assert union_cut(f, g, s) == "raises"
     set_default_witness(AlphaWitness.golden(digits=130))
-    for both in (both_walks, both_overlaps):
-        got, want = both(f, g, s)
-        assert want != "raises" and got == [want, want]
-    assert both_overlaps(f, g, s)[1] == union_cut(f, g, s)
+    got, want = both_overlaps(f, g, s)
+    assert want != "raises" and got == [want, want]
+    assert want == union_cut(f, g, s)
 
 
 def test_breakpoints_and_shift_without_enclosures():
@@ -192,9 +156,8 @@ def test_breakpoints_and_shift_without_enclosures():
                       ((1j,), (1.0, -1.0)))
     s = qa(TWO_53 + 1)  # f(· + s) lives on [−1, 2], breaking at 0 and 2 as g
     assert W.enclose(f.breakpoints[0]) is None and W.enclose(s) is None
-    got, want = both_walks(f, g, s)
-    assert want != "raises" and got == [want, want]
-    assert want[0] == [qa(-1), qa(0), g.breakpoints[1], qa(2)]
+    assert f.shift_arg(s)._aligned(g)[0] == [qa(-1), qa(0),
+                                             g.breakpoints[1], qa(2)]
     got, want = both_overlaps(f, g, s)
     assert want != "raises" and got == [want, want]
     assert want[:2] == ([qa(0), g.breakpoints[1], qa(2)], [True, True])
